@@ -4,8 +4,12 @@ This is the safety net for the exact-rational machinery: the metric chain is
 scaled by the least common multiple of all denominators so that every landmark
 (node or registered divisor point) is a vertex of a finite multigraph with
 unit edges, and then winnability and Baker-Norine rank are computed purely
-graph-side with Dhar's burning algorithm and exhaustive search.  Nothing here
-shares logic with the loop-class arithmetic it cross-checks.
+graph-side with Dhar's burning algorithm.  Rank uses the criterion of Baker
+and Norine: rank >= r iff, for every effective E of degree r - 1 and every
+vertex w, the w-reduced form of D - E keeps a chip on w.  Each E is checked by
+walking the root over all vertices, re-reducing from the previous root's
+reduced form.  Nothing here shares logic with the loop-class arithmetic it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -293,13 +297,34 @@ def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:
     return reduced[q] >= 0
 
 
-def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> int:
-    """Baker-Norine rank by exhaustive search over vertex-supported witnesses.
+def _dfs_order(adjacency, q: int) -> list[int]:
+    """Depth-first preorder from q: consecutive vertices are mostly adjacent."""
+    seen = [False] * len(adjacency)
+    order = []
+    stack = [q]
+    while stack:
+        v = stack.pop()
+        if seen[v]:
+            continue
+        seen[v] = True
+        order.append(v)
+        stack.extend(w for w in reversed(adjacency[v]) if not seen[w])
+    return order
 
-    -1 when not winnable, else the largest r such that removing any effective
-    degree-r configuration leaves a winnable one.  Witness order is the
-    lexicographic multiset order on vertices with early exit, so runs are
-    deterministic.  Degrees above ``degree_cap`` are refused.
+
+def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> int:
+    """Baker-Norine rank of the configuration D, by a walk of the root.
+
+    -1 when D is not winnable.  Otherwise the largest r <= deg D such that,
+    for every effective E of degree r - 1 and every vertex w, the w-reduced
+    form of D - E keeps a chip on w.  By Baker-Norine that says D - E - w,
+    hence D minus any effective degree-r configuration, is winnable.  For each
+    E, in lexicographic multiset order over the vertices, D - E is reduced at
+    q = 0 and then re-reduced in place as the root walks all vertices in
+    depth-first order from q, so each reduction starts from the reduced form
+    at a nearby root.  A level fails at the first root left without a chip.
+    The orders are fixed, so runs are deterministic.  Degrees above
+    ``degree_cap`` raise :class:`OracleTooLargeError`.
     """
     degree = config.degree
     if degree > degree_cap:
@@ -312,25 +337,26 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     for v, c in config.items():
         base[v] = c
     q = 0
-
-    def winnable(chips: list[int]) -> bool:
-        work = list(chips)
-        _reduce_in_place(adjacency, work, q)
-        return work[q] >= 0
-
-    if not winnable(base):
+    reduced = list(base)
+    _reduce_in_place(adjacency, reduced, q)
+    if reduced[q] < 0:
         return -1
+    walk = _dfs_order(adjacency, q)
+
+    def every_root_keeps_a_chip(removed: tuple[int, ...]) -> bool:
+        work = list(base)
+        for v in removed:
+            work[v] -= 1
+        for w in walk:
+            _reduce_in_place(adjacency, work, w)
+            if work[w] < 1:
+                return False
+        return True
+
     r = 0
-    while r + 1 <= degree:
-        passed = True
-        for combo in combinations_with_replacement(range(n), r + 1):
-            test = list(base)
-            for v in combo:
-                test[v] -= 1
-            if not winnable(test):
-                passed = False
-                break
-        if not passed:
-            break
+    while r + 1 <= degree and all(
+        every_root_keeps_a_chip(removed)
+        for removed in combinations_with_replacement(range(n), r)
+    ):
         r += 1
     return r

@@ -30,7 +30,10 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 # -- tableaux ----------------------------------------------------------------

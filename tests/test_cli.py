@@ -190,6 +190,26 @@ def test_oracle_commands(capsys, tableau_file, geometry_file, tmp_path):
     assert code == 2 and "cap" in err
 
 
+
+def test_oracle_zero_denominator_exits_one(capsys, tmp_path):
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps({"g": 1, "loops": [{"l": "1/0", "m": "1/1"}]}))
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 1}]}))
+    code, out, err = run(
+        capsys, "oracle", "rank", "--divisor", str(div_path), "--geometry", str(geom_path)
+    )
+    assert code == 1 and out == ""
+    assert "1/0" in err and "Traceback" not in err
+    # the same in a divisor coordinate
+    geom_path.write_text(json.dumps({"g": 1, "loops": [{"l": "3/1", "m": "1/1"}]}))
+    div_path.write_text(json.dumps({"points": [{"loop": 1, "coord": "2/0", "mult": 1}]}))
+    code, out, err = run(
+        capsys, "oracle", "rank", "--divisor", str(div_path), "--geometry", str(geom_path)
+    )
+    assert code == 1 and out == ""
+    assert "2/0" in err and "Traceback" not in err
+
 def test_verify_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--g-max", "3", "--seed", "0",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from bnchains import (
     subdivide_chain,
     tropical_rank,
 )
-from bnchains.oracle import dhar_reduce_with_firings
+from bnchains.oracle import _reduce_in_place, dhar_reduce_with_firings
 
 
 def cycle_graph(l=13, m=1):
@@ -203,3 +204,100 @@ def test_rank_cross_validation_small():
             graph, chips_from_divisor(graph, divisor)
         ), (geom, divisor)
         done += 1
+
+
+def _cold_bn_rank(graph, config):
+    """Reference rank: one cold reduction per effective degree-(r+1) witness."""
+    degree = config.degree
+    adjacency = graph.adjacency
+    n = graph.vertex_count
+    base = [0] * n
+    for v, c in config.items():
+        base[v] = c
+    q = 0
+
+    def winnable(chips):
+        work = list(chips)
+        _reduce_in_place(adjacency, work, q)
+        return work[q] >= 0
+
+    if not winnable(base):
+        return -1
+    r = 0
+    while r + 1 <= degree:
+        passed = True
+        for combo in combinations_with_replacement(range(n), r + 1):
+            test = list(base)
+            for v in combo:
+                test[v] -= 1
+            if not winnable(test):
+                passed = False
+                break
+        if not passed:
+            break
+        r += 1
+    return r
+
+
+# 1/2 twice: a loop with both arcs 1/2 is a pair of parallel edges at scale 2
+HALF_LENGTHS = [F(1, 2)] + [F(k, 2) for k in range(1, 7)]
+
+
+def _random_multigraph(rng, max_vertices):
+    """Chain-of-loops model with half-integer arcs, so often with parallel edges."""
+    while True:
+        g = rng.randrange(1, 4)
+        geom = ChainGeometry(
+            tuple((rng.choice(HALF_LENGTHS), rng.choice(HALF_LENGTHS)) for _ in range(g))
+        )
+        graph = subdivide_chain(geom)
+        if graph.vertex_count <= max_vertices:
+            return graph
+
+
+def test_bn_rank_matches_cold_witness_search():
+    rng = random.Random(2024)
+    ranks = []
+    for _ in range(300):
+        degree = rng.randrange(-2, 6)
+        # keep the cold search's passing levels, C(n + d - 1, d) witnesses, small
+        max_vertices = {5: 12, 4: 16}.get(degree, 25)
+        graph = _random_multigraph(rng, max_vertices)
+        n = graph.vertex_count
+        negative = rng.randrange(0, 3)
+        if degree < 0:
+            negative = max(negative, -degree)
+        chips = {}
+        for sign, count in ((1, degree + negative), (-1, negative)):
+            for _ in range(count):
+                v = rng.randrange(n)
+                chips[v] = chips.get(v, 0) + sign
+        cfg = ChipConfig(chips)
+        assert cfg.degree == degree
+        rank = bn_rank(graph, cfg)
+        assert rank == _cold_bn_rank(graph, cfg), (graph.adjacency, cfg)
+        ranks.append(rank)
+    # every rank a degree <= 5 configuration on a graph of genus >= 1 can have
+    assert set(ranks) == set(range(-1, 5))
+
+
+@st.composite
+def _reduction_case(draw):
+    lengths = st.sampled_from(HALF_LENGTHS)
+    loops = draw(st.lists(st.tuples(lengths, lengths), min_size=1, max_size=3))
+    graph = subdivide_chain(ChainGeometry(tuple(loops)))
+    vertex = st.integers(0, graph.vertex_count - 1)
+    chips = draw(st.dictionaries(vertex, st.integers(-3, 4), max_size=6))
+    return graph, ChipConfig(chips), draw(vertex), draw(vertex)
+
+
+@given(_reduction_case())
+@settings(max_examples=200, deadline=None)
+def test_warm_rereduction_equals_cold_reduction(case):
+    # bn_rank re-reduces each root's reduced form at the next root in place
+    graph, cfg, q, w = case
+    chips = [cfg[v] for v in range(graph.vertex_count)]
+    _reduce_in_place(graph.adjacency, chips, q)
+    _reduce_in_place(graph.adjacency, chips, w)
+    warm = ChipConfig({v: c for v, c in enumerate(chips) if c})
+    assert warm == dhar_reduce(graph, cfg, w)

@@ -36,6 +36,8 @@ def test_fraction_strings():
     assert ser.frac_from_str("13/1") == 13
     assert ser.frac_from_str("13") == 13
     assert ser.frac_from_str("-3/4") == F(-3, 4)
+    with pytest.raises(ValueError, match="1/0"):
+        ser.frac_from_str("1/0")
 
 
 def test_tableau_round_trip():
