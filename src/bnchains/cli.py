@@ -35,6 +35,7 @@ from .oracle import (
 )
 from .tableaux import BNParams, count_components, enumerate_tableaux, validate_tableau
 from .tropical import (
+    SamplingError,
     check_genericity,
     divisor_from_tableau,
     tropical_rank,
@@ -210,8 +211,6 @@ def cmd_verify(args) -> int:
         subdiv_cap=args.subdiv_cap,
     )
     print(f"checks run: {result.checks_run}")
-    for note in result.notes:
-        print(f"note: {note}")
     if result.passed:
         print("all checks pass")
         return 0
@@ -321,7 +320,14 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotRefinedError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        NotRefinedError,
+        SamplingError,
+        ValueError,
+        OSError,
+        json.JSONDecodeError,
+        KeyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

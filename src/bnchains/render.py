@@ -17,7 +17,6 @@ from .tropical import (
     ChainPoint,
     Interior,
     Node,
-    ReducedChain,
     TropicalDivisor,
     TropVanishingTable,
     chain_point_key,
@@ -149,14 +148,6 @@ def _speciality(geom: ChainGeometry, pt: Interior, degree: int) -> str:
         if x - (x // c) * c == pt.coord:
             return f"  ({u}·Q_{k - 1} + x_{k} = {u + 1}·Q_{k} in Pic)"
     return "  (generic)"
-
-
-def render_reduced(reduced: ReducedChain) -> str:
-    terms = [_term(reduced.u, "Q_0")]
-    for k, (eps, pt) in enumerate(zip(reduced.epsilon, reduced.x), start=1):
-        if eps:
-            terms.append(point_label(pt))
-    return " + ".join(terms)
 
 
 def render_trop_table(table: TropVanishingTable) -> str:

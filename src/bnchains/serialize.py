@@ -36,6 +36,12 @@ def frac_from_str(s) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
+def _check_object(obj, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``obj`` is a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+
+
 # -- tableaux ----------------------------------------------------------------
 
 def tableau_to_obj(t: Tableau) -> dict:
@@ -48,9 +54,12 @@ def tableau_to_obj(t: Tableau) -> dict:
 
 
 def tableau_from_obj(obj: dict) -> Tableau:
+    _check_object(obj, "tableau")
     params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
-    rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
-    return Tableau(params, rows)
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"rows: expected a list of integer lists, got {rows!r}")
+    return Tableau(params, tuple(tuple(int(v) for v in row) for row in rows))
 
 
 # -- series ------------------------------------------------------------------
@@ -97,6 +106,7 @@ def eh_series_to_obj(series: EHSeries) -> dict:
 
 
 def eh_series_from_obj(obj: dict) -> EHSeries:
+    _check_object(obj, "series")
     params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
     comps = obj["components"]
     if len(comps) != params.g:
@@ -130,6 +140,7 @@ def effective_series_to_obj(series: EffectiveSeries) -> dict:
 
 
 def effective_series_from_obj(obj: dict) -> EffectiveSeries:
+    _check_object(obj, "series")
     params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
     comps = obj["components"]
     if len(comps) != params.g:
@@ -157,6 +168,7 @@ def geometry_to_obj(geom: ChainGeometry) -> dict:
 
 
 def geometry_from_obj(obj: dict) -> ChainGeometry:
+    _check_object(obj, "geometry")
     loops = obj["loops"]
     if int(obj["g"]) != len(loops):
         raise ValueError(f"g = {obj['g']} but {len(loops)} loops given")
@@ -190,6 +202,7 @@ def divisor_to_obj(divisor: TropicalDivisor) -> dict:
 
 
 def divisor_from_obj(obj: dict, geom: ChainGeometry | None = None) -> TropicalDivisor:
+    _check_object(obj, "divisor")
     pairs = []
     for entry in obj["points"]:
         pt = point_from_obj(entry, geom)

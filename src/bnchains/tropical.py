@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elliptic import VanishingSequence
@@ -37,7 +36,7 @@ class SamplingError(RuntimeError):
 
 
 def _mod(x: Fraction, c: Fraction) -> Fraction:
-    return x - (x // c) * c
+    return x % c
 
 
 @dataclass(frozen=True)
@@ -233,17 +232,19 @@ class ReducedChain:
     x: tuple[ChainPoint | None, ...]
 
 
-def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
-    """Sweep the chain right to left, concentrating degree at Q_0.
+def _split(
+    geom: ChainGeometry, divisor: TropicalDivisor
+) -> tuple[list[int], list[tuple[int, Fraction]]]:
+    """Node multiplicities at Q_0..Q_g and the (degree, class) of each loop.
 
-    Works loop by loop from loop g down to loop 1, each time moving as much
-    degree as the loop class allows onto the left node.  Negative
-    multiplicities are allowed; the result is the canonical representative of
-    the divisor class.
+    Interior points enter only through their loop's degree and class, which is
+    all the right-to-left sweeps below need.  Points outside the chain raise
+    ``ValueError``.
     """
     g = geom.g
     node_mult = [0] * (g + 1)
-    loops: dict[int, list[tuple[Fraction, int]]] = {k: [] for k in range(1, g + 1)}
+    degrees = [0] * g
+    sums = [Fraction(0)] * g
     for pt, mult in divisor.points:
         if isinstance(pt, Node):
             if pt.index > g:
@@ -252,18 +253,39 @@ def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
         else:
             if pt.loop > g:
                 raise ValueError(f"loop {pt.loop} outside chain of genus {g}")
-            loops[pt.loop].append((pt.coord, mult))
+            degrees[pt.loop - 1] += mult
+            sums[pt.loop - 1] += pt.coord * mult
+    loops = [
+        (degree, _mod(total, l + m))
+        for degree, total, (l, m) in zip(degrees, sums, geom.lengths)
+    ]
+    return node_mult, loops
+
+
+def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
+    """Sweep the chain right to left, concentrating degree at Q_0.
+
+    Works loop by loop from loop g down to loop 1, each time moving as much
+    degree as the loop class allows onto the left node: the carry c arriving
+    at Q_k joins loop k, whose class becomes class_k + c * l_k, and all of
+    its degree moves when that class is zero, all but one otherwise.
+    Negative multiplicities are allowed; the result is the canonical
+    representative of the divisor class.
+    """
+    g = geom.g
+    node_mult, loops = _split(geom, divisor)
     epsilon = [0] * g
     leftovers: list[ChainPoint | None] = [None] * g
     carry = node_mult[g]
     for k in range(g, 0, -1):
-        pts = list(loops[k])
-        if carry:
-            pts.append((geom.ell(k), carry))
-        moved, leftover = loop_reduce(geom, k, pts)
-        if leftover is not None:
+        degree, cls = loops[k - 1]
+        l, m = geom.lengths[k - 1]
+        sigma = _mod(cls + carry * l, l + m)
+        moved = degree + carry
+        if sigma != 0:
+            moved -= 1
             epsilon[k - 1] = 1
-            leftovers[k - 1] = leftover
+            leftovers[k - 1] = point_on_loop(geom, k, sigma)
         carry = node_mult[k - 1] + moved
     return ReducedChain(carry, tuple(epsilon), tuple(leftovers))
 
@@ -434,30 +456,59 @@ def _sample_generic_point(
 
 
 def rank_at_least(geom: ChainGeometry, divisor: TropicalDivisor, r: int) -> bool:
-    """Rank test against node-supported witnesses.
+    """Rank test: is D - E effective-equivalent for every node divisor E >= 0 of degree r?
 
-    True iff D - D' is equivalent to an effective divisor for every effective
-    D' of degree r supported on the nodes Q_0..Q_g; the nodes are a
-    rank-determining set on the chain, so this computes the true rank bound.
+    The nodes Q_0..Q_g are a rank-determining set on the chain, so this is the
+    true rank bound; for r <= 0 it needs no E.  The E are never listed:
+    ``reduce_to_q0`` sees E only through the integer carry c reaching each
+    node, and loop k passes on
+
+        moved(k, c) = deg_k + c - [class_k + c * l_k != 0 mod c_k],
+
+    which is non-decreasing in c (one more chip moves at least as much).  The
+    final coefficient u at Q_0 is therefore monotone in every carry, so its
+    minimum over E is found by one right-to-left sweep that keeps, for each
+    j = 0..r, the least carry ``best[j]`` at Q_k after removing j chips from
+    Q_k..Q_g:
+
+        best[j] <- n_{k-1} + min over i <= j of (moved(k, best[i]) - (j - i)).
+
+    D has rank >= r iff ``best[r] >= 0`` at Q_0.  With the minimum kept as a
+    running prefix minimum that is O(g * r) integer steps and g * (r + 1)
+    class tests, where listing the E would take C(g + r, r) reductions.
     """
     if r <= 0:
         return is_equivalent_to_effective(geom, divisor) if r == 0 else True
-    base = divisor.as_dict()
-    for combo in combinations_with_replacement(range(geom.g + 1), r):
-        test = dict(base)
-        for j in combo:
-            node = Node(j)
-            test[node] = test.get(node, 0) - 1
-        if not is_equivalent_to_effective(geom, TropicalDivisor.from_dict(test)):
-            return False
-    return True
+    node_mult, loops = _split(geom, divisor)
+    g = geom.g
+    best = [node_mult[g] - j for j in range(r + 1)]
+    for k in range(g, 0, -1):
+        degree, cls = loops[k - 1]
+        l, m = geom.lengths[k - 1]
+        c = l + m
+        lowest = None
+        for j, carry in enumerate(best):
+            moved = degree + carry - (_mod(cls + carry * l, c) != 0)
+            if lowest is None or moved + j < lowest:
+                lowest = moved + j
+            best[j] = node_mult[k - 1] + lowest - j
+    return best[r] >= 0
 
 
 def tropical_rank(geom: ChainGeometry, divisor: TropicalDivisor) -> int:
-    """Exact rank: -1 when not effective-equivalent, else the largest passing r."""
+    """Exact rank: -1 when not effective-equivalent, else the largest passing r.
+
+    Above the canonical degree the answer is Riemann-Roch's: on any metric
+    graph of genus g, an effective class of degree d > 2g - 2 has rank d - g
+    (Gathmann-Kerber), since K - D has negative degree.  Below it, r climbs
+    while ``rank_at_least`` holds, each test one sweep of the chain.
+    """
     if not is_equivalent_to_effective(geom, divisor):
         return -1
+    degree = divisor.degree
+    if degree > 2 * geom.g - 2:
+        return degree - geom.g
     r = 0
-    while r + 1 <= divisor.degree and rank_at_least(geom, divisor, r + 1):
+    while r + 1 <= degree and rank_at_least(geom, divisor, r + 1):
         r += 1
     return r

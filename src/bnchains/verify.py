@@ -50,7 +50,6 @@ class VerifyFailure:
 class SuiteResult:
     checks_run: int = 0
     failures: list[VerifyFailure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:

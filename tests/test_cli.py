@@ -210,6 +210,47 @@ def test_oracle_zero_denominator_exits_one(capsys, tmp_path):
     assert code == 1 and out == ""
     assert "2/0" in err and "Traceback" not in err
 
+def test_tropical_rank_riemann_roch_degree(capsys, geometry_file, tmp_path):
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 40}]}))
+    code, out, _ = run(
+        capsys, "tropical", "rank", "--divisor", str(div_path), "--geometry", geometry_file
+    )
+    assert code == 0 and out.strip() == "34"
+
+
+def test_divisor_file_top_level_array_exits_one(capsys, geometry_file, tmp_path):
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps([{"node": 0, "mult": 1}]))
+    code, out, err = run(
+        capsys, "tropical", "rank", "--divisor", str(div_path), "--geometry", geometry_file
+    )
+    assert code == 1 and out == ""
+    assert "divisor" in err and "Traceback" not in err
+
+
+def test_tableau_rows_not_a_list_exits_one(capsys, tmp_path):
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps({"g": 6, "d": 6, "r": 2, "rows": 5}))
+    code, out, err = run(capsys, "eh", "--tableau", str(path))
+    assert code == 1 and out == ""
+    assert "rows" in err and "Traceback" not in err
+
+
+def test_tropical_divisor_sampling_failure_exits_one(capsys, tmp_path):
+    # every coordinate j / 1009 of the circumference is special for some u <= 1008
+    tab_path = tmp_path / "tableau.json"
+    tab_path.write_text(json.dumps({"g": 1, "d": 1008, "r": 0, "rows": []}))
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps({"g": 1, "loops": [{"l": "1/1", "m": "1008/1"}]}))
+    code, out, err = run(
+        capsys, "tropical", "divisor", "--tableau", str(tab_path),
+        "--geometry", str(geom_path), "--allow-nongeneric",
+    )
+    assert code == 1 and out == ""
+    assert "could not sample" in err and "Traceback" not in err
+
+
 def test_verify_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--g-max", "3", "--seed", "0",

@@ -47,6 +47,19 @@ def test_tableau_round_trip():
     assert ser.tableau_from_obj(obj) == t
 
 
+def test_malformed_input_raises_value_error_naming_field():
+    with pytest.raises(ValueError, match="rows"):
+        ser.tableau_from_obj({"g": 6, "d": 6, "r": 2, "rows": 5})
+    with pytest.raises(ValueError, match="rows"):
+        ser.tableau_from_obj({"g": 6, "d": 6, "r": 2, "rows": [1, 2]})
+    with pytest.raises(ValueError, match="divisor"):
+        ser.divisor_from_obj([{"node": 0, "mult": 1}])
+    with pytest.raises(ValueError, match="tableau"):
+        ser.tableau_from_obj([[1, 2]])
+    with pytest.raises(ValueError, match="geometry"):
+        ser.geometry_from_obj([])
+
+
 def test_eh_series_round_trip():
     series = eh_series_from_tableau(tableau_662())
     obj = through_json(ser.eh_series_to_obj(series))

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,3 +370,115 @@ def test_reduction_soundness(data):
             assert x != Node(k - 1)
     residue = reduce_to_q0(geom, divisor - TropicalDivisor.from_dict(rebuilt))
     assert residue.u == 0 and not any(residue.epsilon)
+
+
+def _rank_at_least_by_witnesses(geom, divisor, r):
+    """Reference rank test: reduce D - E for every effective node divisor E of degree r."""
+    if r <= 0:
+        return is_equivalent_to_effective(geom, divisor) if r == 0 else True
+    base = divisor.as_dict()
+    for combo in combinations_with_replacement(range(geom.g + 1), r):
+        test = dict(base)
+        for j in combo:
+            test[Node(j)] = test.get(Node(j), 0) - 1
+        if not is_equivalent_to_effective(geom, TropicalDivisor.from_dict(test)):
+            return False
+    return True
+
+
+def _random_geometry(rng, g, generic):
+    if generic:
+        bound = max(2 * g - 2, 1)
+        return ChainGeometry(
+            tuple((F(bound + rng.randrange(0, 4), rng.randrange(1, 3)), F(1)) for _ in range(g))
+        )
+    # half-integer lengths with small ratios: many special points coincide
+    return ChainGeometry(
+        tuple((F(rng.randrange(1, 5), 2), F(rng.randrange(1, 5), 2)) for _ in range(g))
+    )
+
+
+def _random_divisor(rng, geom, max_points=4):
+    support = {}
+    for _ in range(rng.randrange(0, max_points + 1)):
+        mult = rng.choice([-2, -1, 1, 1, 2, 3])
+        if rng.random() < 0.4:
+            pt = Node(rng.randrange(0, geom.g + 1))
+        else:
+            k = rng.randrange(1, geom.g + 1)
+            pt = point_on_loop(geom, k, geom.circumference(k) * F(rng.randrange(1, 12), 12))
+        support[pt] = support.get(pt, 0) + mult
+    return TropicalDivisor.from_dict(support)
+
+
+def test_rank_sweep_matches_witness_search():
+    rng = random.Random(20170124)
+    kinds = set()
+    for _ in range(2000):
+        g = rng.randrange(1, 6)
+        generic = rng.random() < 0.5
+        geom = _random_geometry(rng, g, generic)
+        divisor = _random_divisor(rng, geom)
+        kinds.add((generic, check_genericity(geom).generic))
+        for r in range(-1, max(divisor.degree, 0) + 2):
+            expected = _rank_at_least_by_witnesses(geom, divisor, r)
+            assert rank_at_least(geom, divisor, r) == expected, (geom, divisor, r)
+    assert (False, False) in kinds and (True, True) in kinds
+
+
+@st.composite
+def geometry_divisor_rank(draw):
+    g = draw(st.integers(1, 4))
+    lengths = tuple(
+        (F(draw(st.integers(1, 12)), draw(st.integers(1, 3))), F(draw(st.integers(1, 3)), 2))
+        for _ in range(g)
+    )
+    geom = ChainGeometry(lengths)
+    support = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mult = draw(st.integers(-2, 3))
+        if draw(st.booleans()):
+            pt = Node(draw(st.integers(0, g)))
+        else:
+            k = draw(st.integers(1, g))
+            pt = point_on_loop(geom, k, geom.circumference(k) * F(draw(st.integers(1, 11)), 12))
+        support[pt] = support.get(pt, 0) + mult
+    divisor = TropicalDivisor.from_dict(support)
+    r = draw(st.integers(-1, max(divisor.degree, 0) + 1))
+    return geom, divisor, r
+
+
+@given(geometry_divisor_rank())
+@settings(max_examples=200, deadline=None)
+def test_rank_sweep_matches_witness_search_property(data):
+    geom, divisor, r = data
+    assert rank_at_least(geom, divisor, r) == _rank_at_least_by_witnesses(geom, divisor, r)
+
+
+def test_rank_rejects_points_outside_chain():
+    geom = ChainGeometry(((F(5), F(2)), (F(7), F(3))))
+    for bad in (Node(3), Interior(3, F(1))):
+        divisor = TropicalDivisor(((Node(0), 2), (bad, 1)))
+        for r in (0, 1, 2):
+            with pytest.raises(ValueError):
+                rank_at_least(geom, divisor, r)
+        with pytest.raises(ValueError):
+            tropical_rank(geom, divisor)
+        with pytest.raises(ValueError):
+            reduce_to_q0(geom, divisor)
+
+
+def test_riemann_roch_short_cut_matches_sweep():
+    rng = random.Random(2)
+    for _ in range(300):
+        g = rng.randrange(1, 5)
+        geom = _random_geometry(rng, g, generic=rng.random() < 0.5)
+        divisor = _random_divisor(rng, geom)
+        degree = rng.randrange(2 * g - 1, 2 * g + 3)
+        # top up Q_0 to the target degree, keeping the rest of the support
+        divisor = divisor + TropicalDivisor(((Node(0), degree - divisor.degree),))
+        assert divisor.degree == degree
+        swept = -1
+        while swept + 1 <= degree and rank_at_least(geom, divisor, swept + 1):
+            swept += 1
+        assert tropical_rank(geom, divisor) == swept == degree - g
