@@ -74,8 +74,6 @@ from .tropical import (
     check_genericity,
     divisor_from_tableau,
     is_equivalent_to_effective,
-    loop_class,
-    loop_reduce,
     point_on_loop,
     rank_at_least,
     reduce_to_q0,

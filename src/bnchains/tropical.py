@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .elliptic import VanishingSequence
 from .tableaux import Tableau
@@ -187,38 +187,6 @@ def check_genericity(geom: ChainGeometry) -> GenericityReport:
     return GenericityReport(not failing, tuple(failing))
 
 
-def loop_class(
-    geom: ChainGeometry, k: int, pts: Iterable[tuple[Fraction, int]]
-) -> Fraction:
-    """Class in R/(c_k Z) of a divisor on loop k given as (coord, mult) pairs.
-
-    Two divisors on the loop of equal degree are linearly equivalent iff their
-    classes agree.
-    """
-    c = geom.circumference(k)
-    total = Fraction(0)
-    for coord, mult in pts:
-        total += Fraction(coord) * mult
-    return _mod(total, c)
-
-
-def loop_reduce(
-    geom: ChainGeometry, k: int, pts: Sequence[tuple[Fraction, int]]
-) -> tuple[int, ChainPoint | None]:
-    """Concentrate a loop-k divisor at Q_{k-1}, leaving at most one point.
-
-    Returns ``(moved, leftover)`` with the input equivalent to
-    ``moved * Q_{k-1} + leftover``: the full degree moves when the class is
-    zero, otherwise degree-1 moves and the leftover sits at the class
-    coordinate (possibly the node Q_k, never Q_{k-1}).
-    """
-    degree = sum(m for _, m in pts)
-    sigma = loop_class(geom, k, pts)
-    if sigma == 0:
-        return degree, None
-    return degree - 1, point_on_loop(geom, k, sigma)
-
-
 @dataclass(frozen=True)
 class ReducedChain:
     """Reduced representative u * Q_0 + sum_k epsilon_k * x_k of a divisor.
@@ -232,14 +200,17 @@ class ReducedChain:
     x: tuple[ChainPoint | None, ...]
 
 
+_Loop = tuple[int, Fraction, Fraction, Fraction]
+
+
 def _split(
     geom: ChainGeometry, divisor: TropicalDivisor
-) -> tuple[list[int], list[tuple[int, Fraction]]]:
-    """Node multiplicities at Q_0..Q_g and the (degree, class) of each loop.
+) -> tuple[list[int], list[_Loop]]:
+    """Node multiplicities at Q_0..Q_g and (deg_k, class_k, l_k, c_k) per loop.
 
-    Interior points enter only through their loop's degree and class, which is
-    all the right-to-left sweeps below need.  Points outside the chain raise
-    ``ValueError``.
+    Interior points enter only through their loop's degree and class in
+    R/(c_k Z), which is all the right-to-left sweeps below need.  Points
+    outside the chain raise ``ValueError``.
     """
     g = geom.g
     node_mult = [0] * (g + 1)
@@ -256,19 +227,30 @@ def _split(
             degrees[pt.loop - 1] += mult
             sums[pt.loop - 1] += pt.coord * mult
     loops = [
-        (degree, _mod(total, l + m))
+        (degree, _mod(total, l + m), l, l + m)
         for degree, total, (l, m) in zip(degrees, sums, geom.lengths)
     ]
     return node_mult, loops
+
+
+def _loop_step(loop: _Loop, carry: int) -> tuple[int, Fraction]:
+    """What loop k passes on to Q_{k-1} when ``carry`` chips arrive at Q_k.
+
+    The carry joins the loop at coordinate l_k, so the loop class becomes
+    sigma = class_k + carry * l_k mod c_k.  All of the degree moves when
+    sigma is zero, all but one otherwise, leaving one point at coordinate
+    sigma.  Returns ``(moved, sigma)``.
+    """
+    degree, cls, l, c = loop
+    sigma = _mod(cls + carry * l, c)
+    return degree + carry - (sigma != 0), sigma
 
 
 def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
     """Sweep the chain right to left, concentrating degree at Q_0.
 
     Works loop by loop from loop g down to loop 1, each time moving as much
-    degree as the loop class allows onto the left node: the carry c arriving
-    at Q_k joins loop k, whose class becomes class_k + c * l_k, and all of
-    its degree moves when that class is zero, all but one otherwise.
+    degree as the loop class allows onto the left node (``_loop_step``).
     Negative multiplicities are allowed; the result is the canonical
     representative of the divisor class.
     """
@@ -278,12 +260,8 @@ def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
     leftovers: list[ChainPoint | None] = [None] * g
     carry = node_mult[g]
     for k in range(g, 0, -1):
-        degree, cls = loops[k - 1]
-        l, m = geom.lengths[k - 1]
-        sigma = _mod(cls + carry * l, l + m)
-        moved = degree + carry
+        moved, sigma = _loop_step(loops[k - 1], carry)
         if sigma != 0:
-            moved -= 1
             epsilon[k - 1] = 1
             leftovers[k - 1] = point_on_loop(geom, k, sigma)
         carry = node_mult[k - 1] + moved
@@ -461,7 +439,7 @@ def rank_at_least(geom: ChainGeometry, divisor: TropicalDivisor, r: int) -> bool
     The nodes Q_0..Q_g are a rank-determining set on the chain, so this is the
     true rank bound; for r <= 0 it needs no E.  The E are never listed:
     ``reduce_to_q0`` sees E only through the integer carry c reaching each
-    node, and loop k passes on
+    node, and loop k passes on (``_loop_step``)
 
         moved(k, c) = deg_k + c - [class_k + c * l_k != 0 mod c_k],
 
@@ -483,12 +461,10 @@ def rank_at_least(geom: ChainGeometry, divisor: TropicalDivisor, r: int) -> bool
     g = geom.g
     best = [node_mult[g] - j for j in range(r + 1)]
     for k in range(g, 0, -1):
-        degree, cls = loops[k - 1]
-        l, m = geom.lengths[k - 1]
-        c = l + m
+        loop = loops[k - 1]
         lowest = None
         for j, carry in enumerate(best):
-            moved = degree + carry - (_mod(cls + carry * l, c) != 0)
+            moved = _loop_step(loop, carry)[0]
             if lowest is None or moved + j < lowest:
                 lowest = moved + j
             best[j] = node_mult[k - 1] + lowest - j
@@ -498,17 +474,11 @@ def rank_at_least(geom: ChainGeometry, divisor: TropicalDivisor, r: int) -> bool
 def tropical_rank(geom: ChainGeometry, divisor: TropicalDivisor) -> int:
     """Exact rank: -1 when not effective-equivalent, else the largest passing r.
 
-    Above the canonical degree the answer is Riemann-Roch's: on any metric
-    graph of genus g, an effective class of degree d > 2g - 2 has rank d - g
-    (Gathmann-Kerber), since K - D has negative degree.  Below it, r climbs
-    while ``rank_at_least`` holds, each test one sweep of the chain.
+    r climbs while ``rank_at_least`` holds, each test one sweep of the chain.
     """
     if not is_equivalent_to_effective(geom, divisor):
         return -1
-    degree = divisor.degree
-    if degree > 2 * geom.g - 2:
-        return degree - geom.g
     r = 0
-    while r + 1 <= degree and rank_at_least(geom, divisor, r + 1):
+    while r + 1 <= divisor.degree and rank_at_least(geom, divisor, r + 1):
         r += 1
     return r

@@ -17,8 +17,8 @@ from bnchains import (
     dhar_reduce,
     is_equivalent_to_effective,
     is_winnable,
-    loop_class,
     point_on_loop,
+    reduce_to_q0,
     subdivide_chain,
     tropical_rank,
 )
@@ -69,8 +69,9 @@ def test_dhar_reduce_matches_loop_class():
     graph = cycle_graph()
     reduced = dhar_reduce(graph, ChipConfig({13: 3}), 0)
     geom = ChainGeometry(((F(13), F(1)),))
-    sigma = loop_class(geom, 1, [(F(13), 3)])
-    assert reduced == ChipConfig({0: 2, int(sigma): 1})
+    chain = reduce_to_q0(geom, TropicalDivisor(((Node(1), 3),)))
+    assert reduced == ChipConfig({0: chain.u, int(chain.x[0].coord): 1})
+    assert reduced == ChipConfig({0: 2, 11: 1})
 
 
 def test_dhar_reduce_idempotent_and_fixed_points():
