@@ -30,6 +30,8 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"expected a rational as \"p/q\", got {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -40,6 +42,30 @@ def _check_object(obj, what: str) -> None:
     """Raise ``ValueError`` naming ``what`` unless ``obj`` is a JSON object."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+
+
+def _int(value, what: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``what``.
+
+    JSON integers pass, and so do integral numbers such as ``3.0``; null,
+    strings, lists, objects, booleans and ``3.5`` do not.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what}: expected an integer, got {value!r}")
+
+
+def _list(value, what: str) -> list:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: expected a list, got {value!r}")
+    return value
+
+
+def _params(obj: dict) -> BNParams:
+    return BNParams(*(_int(obj[key], key) for key in ("g", "d", "r")))
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -55,11 +81,11 @@ def tableau_to_obj(t: Tableau) -> dict:
 
 def tableau_from_obj(obj: dict) -> Tableau:
     _check_object(obj, "tableau")
-    params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
+    params = _params(obj)
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"rows: expected a list of integer lists, got {rows!r}")
-    return Tableau(params, tuple(tuple(int(v) for v in row) for row in rows))
+    return Tableau(params, tuple(tuple(_int(v, "rows") for v in row) for row in rows))
 
 
 # -- series ------------------------------------------------------------------
@@ -71,10 +97,11 @@ def _bundle_to_obj(bundle: BundleClass) -> dict:
 
 
 def _bundle_from_obj(obj: dict, component: int, degree: int) -> BundleClass:
+    _check_object(obj, "bundle")
     if "generic" in obj:
         return BundleClass.generic(component, degree, tag=str(obj["generic"]))
-    a = int(obj["aP"])
-    if a + int(obj["bQ"]) != degree:
+    a = _int(obj["aP"], "aP")
+    if a + _int(obj["bQ"], "bQ") != degree:
         raise ValueError(
             f"component {component}: aP + bQ != degree {degree}"
         )
@@ -85,8 +112,8 @@ def _seq_to_list(seq: VanishingSequence) -> list[int]:
     return list(seq.orders)
 
 
-def _seq_from_list(values) -> VanishingSequence:
-    return VanishingSequence(tuple(int(v) for v in values))
+def _seq_from_list(values, what: str) -> VanishingSequence:
+    return VanishingSequence(tuple(_int(v, what) for v in _list(values, what)))
 
 
 def eh_series_to_obj(series: EHSeries) -> dict:
@@ -105,17 +132,24 @@ def eh_series_to_obj(series: EHSeries) -> dict:
     }
 
 
+def _components(obj: dict, g: int) -> list[dict]:
+    comps = _list(obj["components"], "components")
+    if len(comps) != g:
+        raise ValueError(f"expected {g} components, got {len(comps)}")
+    for c in comps:
+        _check_object(c, "component")
+    return comps
+
+
 def eh_series_from_obj(obj: dict) -> EHSeries:
     _check_object(obj, "series")
-    params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
-    comps = obj["components"]
-    if len(comps) != params.g:
-        raise ValueError(f"expected {params.g} components, got {len(comps)}")
+    params = _params(obj)
+    comps = _components(obj, params.g)
     bundles = tuple(
         _bundle_from_obj(c["bundle"], i, params.d) for i, c in enumerate(comps, 1)
     )
-    vanish_p = tuple(_seq_from_list(c["vanish_P"]) for c in comps)
-    vanish_q = tuple(_seq_from_list(c["vanish_Q"]) for c in comps)
+    vanish_p = tuple(_seq_from_list(c["vanish_P"], "vanish_P") for c in comps)
+    vanish_q = tuple(_seq_from_list(c["vanish_Q"], "vanish_Q") for c in comps)
     return EHSeries(params, bundles, vanish_p, vanish_q)
 
 
@@ -141,18 +175,16 @@ def effective_series_to_obj(series: EffectiveSeries) -> dict:
 
 def effective_series_from_obj(obj: dict) -> EffectiveSeries:
     _check_object(obj, "series")
-    params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
-    comps = obj["components"]
-    if len(comps) != params.g:
-        raise ValueError(f"expected {params.g} components, got {len(comps)}")
-    degrees = tuple(int(c["degree"]) for c in comps)
+    params = _params(obj)
+    comps = _components(obj, params.g)
+    degrees = tuple(_int(c["degree"], "degree") for c in comps)
     bundles = tuple(
         _bundle_from_obj(c["bundle"], i, d_i)
         for i, (c, d_i) in enumerate(zip(comps, degrees), 1)
     )
-    w_p = tuple(_seq_from_list(c["vanish_P"]) for c in comps)
-    w_q = tuple(_seq_from_list(c["vanish_Q"]) for c in comps)
-    node_degrees = tuple(int(a) for a in obj["a"])
+    w_p = tuple(_seq_from_list(c["vanish_P"], "vanish_P") for c in comps)
+    w_q = tuple(_seq_from_list(c["vanish_Q"], "vanish_Q") for c in comps)
+    node_degrees = tuple(_int(a, "a") for a in _list(obj["a"], "a"))
     return EffectiveSeries(params, degrees, bundles, w_p, w_q, node_degrees)
 
 
@@ -169,9 +201,11 @@ def geometry_to_obj(geom: ChainGeometry) -> dict:
 
 def geometry_from_obj(obj: dict) -> ChainGeometry:
     _check_object(obj, "geometry")
-    loops = obj["loops"]
-    if int(obj["g"]) != len(loops):
+    loops = _list(obj["loops"], "loops")
+    if _int(obj["g"], "g") != len(loops):
         raise ValueError(f"g = {obj['g']} but {len(loops)} loops given")
+    for lp in loops:
+        _check_object(lp, "loop")
     return ChainGeometry(
         tuple((frac_from_str(lp["l"]), frac_from_str(lp["m"])) for lp in loops)
     )
@@ -184,9 +218,10 @@ def point_to_obj(pt: ChainPoint) -> dict:
 
 
 def point_from_obj(obj: dict, geom: ChainGeometry | None = None) -> ChainPoint:
+    _check_object(obj, "point")
     if "node" in obj:
-        return Node(int(obj["node"]))
-    loop = int(obj["loop"])
+        return Node(_int(obj["node"], "node"))
+    loop = _int(obj["loop"], "loop")
     coord = frac_from_str(obj["coord"])
     if geom is not None:
         return point_on_loop(geom, loop, coord)
@@ -204,9 +239,9 @@ def divisor_to_obj(divisor: TropicalDivisor) -> dict:
 def divisor_from_obj(obj: dict, geom: ChainGeometry | None = None) -> TropicalDivisor:
     _check_object(obj, "divisor")
     pairs = []
-    for entry in obj["points"]:
+    for entry in _list(obj["points"], "points"):
         pt = point_from_obj(entry, geom)
-        pairs.append((pt, int(entry["mult"])))
+        pairs.append((pt, _int(entry["mult"], "mult")))
     return TropicalDivisor(tuple(pairs))
 
 

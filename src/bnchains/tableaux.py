@@ -15,7 +15,7 @@ driven by the column statistics ``beta(i, s)``: the number of placed indices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterator
@@ -199,39 +199,51 @@ def validate_tableau(t: Tableau) -> TableauCheck:
     return TableauCheck(True)
 
 
-@lru_cache(maxsize=None)
-def _standard_fillings(k: int, kbar: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All standard fillings of the kbar x k rectangle with 1..k*kbar.
+def _standard_fillings(k: int, kbar: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the standard fillings of the kbar x k rectangle with 1..k*kbar.
 
-    Backtracking over the values in increasing order: value v may extend
-    column s only when the column is not full and the cell to its left is
-    already occupied (next free row of column s-1 strictly below that of s).
-    Results are sorted by row-reading word for a reproducible stream order.
+    Lazy, in increasing row-reading word, with no cache: cells are filled
+    row-major, trying the smallest value first, so memory is bounded by the
+    rectangle rather than by the number of fillings.  A value u < v left
+    unused when v goes to cell (m, t) can only sit below row m in a column
+    c < t, so v is ruled out once more than ``t * (rows below m)`` values are
+    passed over, and so is every larger value.  Values left of the cell were
+    counted at earlier cells of the row, so the count runs on from there.
+    The rule only cuts branches that cannot complete, so the order is that of
+    the full search.
     """
     n = k * kbar
-    heights = [0] * k
-    cols = [[0] * kbar for _ in range(k)]
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(v: int) -> None:
-        if v > n:
-            out.append(tuple(tuple(cols[s][m] for s in range(k)) for m in range(kbar)))
-            return
-        for s in range(k):
-            h = heights[s]
-            if h >= kbar:
-                continue
-            if s > 0 and heights[s - 1] <= h:
-                continue
-            cols[s][h] = v
-            heights[s] = h + 1
-            place(v + 1)
-            heights[s] = h
-        return
-
-    place(1)
-    out.sort(key=lambda rows: tuple(v for row in rows for v in row))
-    return tuple(out)
+    word = [0] * n  # word[p]: value at cell p = (m, t), row-major
+    used = [False] * (n + 1)
+    scan = [1] * n  # next value to try at cell p
+    passed = [0] * n  # unused values below scan[p], all bound for later rows
+    p = 0
+    while p >= 0:
+        m, t = divmod(p, k)
+        above = word[p - k] if m else 0
+        cap = t * (kbar - 1 - m)
+        u, c = scan[p], passed[p]
+        while u <= n and c <= cap:
+            if not used[u]:
+                if u > above:
+                    break
+                c += 1
+            u += 1
+        else:
+            # cell p is exhausted: free the value of the cell before it
+            p -= 1
+            if p >= 0:
+                used[word[p]] = False
+            continue
+        word[p] = u
+        scan[p], passed[p] = u + 1, c + 1
+        if p == n - 1:
+            yield tuple(zip(*[iter(word)] * k))  # rows of k
+            continue
+        used[u] = True
+        p += 1
+        # the next cell in the row scans on past u; a new row starts from 1
+        scan[p], passed[p] = (u + 1, c) if t < k - 1 else (1, 0)
 
 
 def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
@@ -239,7 +251,9 @@ def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
 
     Order: lexicographic in the free-index subset, then lexicographic in the
     row-reading word.  Count equals :func:`count_components`; an empty stream
-    signals an empty locus (``rho < 0`` or ``kbar < 0``).
+    signals an empty locus (``rho < 0`` or ``kbar < 0``).  The stream is lazy:
+    the fillings are generated afresh for each free subset, so memory stays
+    bounded by the rectangle however many tableaux there are.
     """
     rho = params.rho
     if rho < 0 or params.kbar < 0:
@@ -247,11 +261,10 @@ def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
     if params.kbar == 0:
         yield Tableau(params, ())
         return
-    fillings = _standard_fillings(params.k, params.kbar)
     universe = range(1, params.g + 1)
     for free in combinations(universe, rho):
         free_set = set(free)
         placed = [i for i in universe if i not in free_set]
-        for shape in fillings:
+        for shape in _standard_fillings(params.k, params.kbar):
             rows = tuple(tuple(placed[v - 1] for v in row) for row in shape)
             yield Tableau(params, rows)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bnchains import BNParams, enumerate_tableaux
 from bnchains import serialize as ser
-from bnchains.cli import main
+from bnchains.cli import _write_json_list, main
 
 from worked_example import tableau_662
 
@@ -50,6 +55,44 @@ def test_tableaux_list_json(capsys):
     parsed = json.loads(out)
     assert len(parsed) == 5
     assert {"g": 6, "d": 6, "r": 2, "rows": [[1, 2, 4], [3, 5, 6]]} in parsed
+
+
+@pytest.mark.parametrize("g,d,r", [(6, 6, 2), (5, 4, 1), (5, 3, 1), (2, 3, 1), (10, 9, 2)])
+def test_tableaux_list_json_matches_one_dump(capsys, g, d, r):
+    # (5, 3, 1) is an empty locus, (2, 3, 1) has kbar = 0, (10, 9, 2) has 420
+    code, out, _ = run(
+        capsys, "tableaux", "--g", str(g), "--d", str(d), "--r", str(r), "--list",
+        "--format", "json",
+    )
+    objs = [ser.tableau_to_obj(t) for t in enumerate_tableaux(BNParams(g, d, r))]
+    assert code == 0
+    assert out == json.dumps(objs, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 256, 300])
+def test_json_list_writer_across_batches(capsys, n):
+    objs = [{"i": i, "rows": [[i, i + 1]]} for i in range(n)]
+    _write_json_list(iter(objs))
+    assert capsys.readouterr().out == json.dumps(objs, indent=2) + "\n"
+
+
+def test_tableaux_list_closed_stdout_exits_quietly():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bnchains", "tableaux", "--g", "16", "--d", "15",
+         "--r", "3", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()  # as `| head -n 3` does
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert head[0].split() == [b"1", b"2", b"3", b"4"]
 
 
 def test_malformed_flags_exit_one(capsys):
@@ -227,6 +270,24 @@ def test_divisor_file_top_level_array_exits_one(capsys, geometry_file, tmp_path)
     )
     assert code == 1 and out == ""
     assert "divisor" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True, 1.5, "1"])
+def test_non_integer_scalar_exits_one(capsys, tmp_path, bad):
+    geom_path = tmp_path / "geom.json"
+    div_path = tmp_path / "div.json"
+    geom_path.write_text(json.dumps({"g": 1, "loops": [{"l": "3/1", "m": "1/1"}]}))
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": bad}]}))
+    argv = ("tropical", "rank", "--divisor", str(div_path), "--geometry", str(geom_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "mult" in err and "Traceback" not in err
+    # the same in the geometry file
+    geom_path.write_text(json.dumps({"g": bad, "loops": [{"l": "3/1", "m": "1/1"}]}))
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 1}]}))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "g: expected an integer" in err and "Traceback" not in err
 
 
 def test_tableau_rows_not_a_list_exits_one(capsys, tmp_path):

@@ -38,6 +38,9 @@ def test_fraction_strings():
     assert ser.frac_from_str("-3/4") == F(-3, 4)
     with pytest.raises(ValueError, match="1/0"):
         ser.frac_from_str("1/0")
+    for bad in (None, [1], True, 1.5):
+        with pytest.raises(ValueError, match="rational"):
+            ser.frac_from_str(bad)
 
 
 def test_tableau_round_trip():
@@ -58,6 +61,48 @@ def test_malformed_input_raises_value_error_naming_field():
         ser.tableau_from_obj([[1, 2]])
     with pytest.raises(ValueError, match="geometry"):
         ser.geometry_from_obj([])
+    with pytest.raises(ValueError, match="^loop:"):
+        ser.geometry_from_obj({"g": 1, "loops": [5]})
+    with pytest.raises(ValueError, match="^loops:"):
+        ser.geometry_from_obj({"g": 1, "loops": None})
+    with pytest.raises(ValueError, match="^point:"):
+        ser.divisor_from_obj({"points": [5]})
+    with pytest.raises(ValueError, match="^points:"):
+        ser.divisor_from_obj({"points": {"node": 0}})
+    obj = ser.eh_series_to_obj(eh_series_from_tableau(tableau_662()))
+    obj["components"][0] = 5
+    with pytest.raises(ValueError, match="^component:"):
+        ser.eh_series_from_obj(obj)
+    obj["components"] = None
+    with pytest.raises(ValueError, match="^components:"):
+        ser.eh_series_from_obj(obj)
+
+
+@pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True, False, 1.5, "1"])
+def test_non_integer_scalars_raise_value_error_naming_field(geom662, bad):
+    with pytest.raises(ValueError, match="^mult: expected"):
+        ser.divisor_from_obj({"points": [{"node": 0, "mult": bad}]})
+    with pytest.raises(ValueError, match="^node: expected"):
+        ser.divisor_from_obj({"points": [{"node": bad, "mult": 1}]})
+    with pytest.raises(ValueError, match="^g: expected"):
+        ser.geometry_from_obj({"g": bad, "loops": [{"l": "3/1", "m": "1/1"}]})
+    with pytest.raises(ValueError, match="^r: expected"):
+        ser.tableau_from_obj({"g": 1, "d": 1, "r": bad, "rows": []})
+    with pytest.raises(ValueError, match="^rows: expected"):
+        ser.tableau_from_obj({"g": 1, "d": 0, "r": 0, "rows": [[bad]]})
+    obj = ser.effective_series_to_obj(eh_to_effective(eh_series_from_tableau(tableau_662())))
+    obj["components"][0]["degree"] = bad
+    with pytest.raises(ValueError, match="^degree: expected"):
+        ser.effective_series_from_obj(obj)
+    obj = ser.eh_series_to_obj(eh_series_from_tableau(tableau_662()))
+    obj["components"][0]["vanish_P"] = [bad]
+    with pytest.raises(ValueError, match="^vanish_P: expected"):
+        ser.eh_series_from_obj(obj)
+
+
+def test_integral_numbers_are_accepted():
+    parsed = ser.divisor_from_obj({"points": [{"node": 0.0, "mult": 2.0}]})
+    assert parsed == TropicalDivisor(((Node(0), 2),))
 
 
 def test_eh_series_round_trip():

@@ -1,5 +1,6 @@
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -14,6 +15,7 @@ from bnchains import (
     hook_count,
     validate_tableau,
 )
+from bnchains.tableaux import _standard_fillings
 
 from worked_example import PARAMS_662, tableau_662
 
@@ -156,6 +158,70 @@ def test_enumeration_order_deterministic():
 def test_worked_example_tableau_is_enumerated():
     tableaux = list(enumerate_tableaux(PARAMS_662))
     assert tableau_662() in tableaux
+
+
+def _fillings_by_build_and_sort(k, kbar):
+    """Reference: every filling built by placing 1..k*kbar, then sorted by row word."""
+    n = k * kbar
+    heights = [0] * k
+    cols = [[0] * kbar for _ in range(k)]
+    out = []
+
+    def place(v):
+        if v > n:
+            out.append(tuple(tuple(cols[s][m] for s in range(k)) for m in range(kbar)))
+            return
+        for s in range(k):
+            h = heights[s]
+            if h >= kbar or (s > 0 and heights[s - 1] <= h):
+                continue
+            cols[s][h] = v
+            heights[s] = h + 1
+            place(v + 1)
+            heights[s] = h
+
+    place(1)
+    out.sort(key=lambda rows: tuple(v for row in rows for v in row))
+    return out
+
+
+RECTANGLES = sorted(
+    {(k, kbar) for k in range(1, 17) for kbar in range(1, 17) if k * kbar <= 16}
+    | {(1, n) for n in range(1, 10)}
+    | {(n, 1) for n in range(1, 10)}
+)
+
+
+@pytest.mark.parametrize("k,kbar", RECTANGLES)
+def test_lazy_fillings_match_build_and_sort(k, kbar):
+    assert list(_standard_fillings(k, kbar)) == _fillings_by_build_and_sort(k, kbar)
+
+
+def test_enumeration_matches_reference_order():
+    for p in (BNParams(6, 6, 2), BNParams(7, 6, 1), BNParams(8, 6, 1), BNParams(9, 8, 2)):
+        shapes = _fillings_by_build_and_sort(p.k, p.kbar)
+        expected = []
+        for free in combinations(range(1, p.g + 1), p.rho):
+            placed = [i for i in range(1, p.g + 1) if i not in free]
+            for shape in shapes:
+                rows = tuple(tuple(placed[v - 1] for v in row) for row in shape)
+                expected.append(Tableau(p, rows))
+        assert list(enumerate_tableaux(p)) == expected
+
+
+def test_enumeration_is_lazy():
+    # 6.5e22 tableaux: the first few must come out without building the rest
+    tracemalloc.start()
+    try:
+        stream = enumerate_tableaux(BNParams(60, 50, 3))
+        first = [next(stream) for _ in range(3)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert first[0].free_indices == tuple(range(1, 9))
+    assert all(validate_tableau(t) for t in first)
+    assert len(set(first)) == 3
 
 
 def test_validate_tableau():
