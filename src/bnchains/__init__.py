@@ -26,7 +26,6 @@ from .effective import (
     eh_to_effective,
 )
 from .elliptic import (
-    BNComponent,
     BundleClass,
     EHSeries,
     SeriesFamily,
@@ -35,11 +34,9 @@ from .elliptic import (
     check_eh_series,
     check_vanishing_pair,
     component_intersection,
-    components_elliptic,
     bundle_from_tableau,
     eh_series_from_tableau,
     propagate_vanishing,
-    riemann_roch_h0,
     vanishing_from_tableau,
 )
 from .oracle import (

@@ -60,19 +60,18 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(obj: dict, args) -> None:
+def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _load_tableau(path: str, args=None):
+def _load_tableau(path: str, args):
     t = serialize.tableau_from_obj(_load_json(path))
-    if args is not None:
-        for flag in ("g", "d", "r"):
-            given = getattr(args, flag, None)
-            if given is not None and given != getattr(t.params, flag):
-                raise CLIError(
-                    f"--{flag} {given} does not match tableau file ({getattr(t.params, flag)})"
-                )
+    for flag in ("g", "d", "r"):
+        given = getattr(args, flag, None)
+        if given is not None and given != getattr(t.params, flag):
+            raise CLIError(
+                f"--{flag} {given} does not match tableau file ({getattr(t.params, flag)})"
+            )
     verdict = validate_tableau(t)
     if not verdict.ok:
         raise CLIError(f"invalid tableau: {verdict.problem}")
@@ -92,7 +91,7 @@ def _load_geometry(path: str, args):
             f"note: geometry is not generic (loops {list(report.failing_loops)})",
             file=sys.stderr,
         )
-    return geom, report
+    return geom
 
 
 def _write_json_list(objs) -> None:
@@ -142,7 +141,7 @@ def cmd_eh(args) -> int:
     t = _load_tableau(args.tableau, args)
     series = eh_series_from_tableau(t)
     if args.format == "json":
-        _emit(serialize.eh_series_to_obj(series), args)
+        _emit(serialize.eh_series_to_obj(series))
     else:
         print(render.render_eh_series(series))
     return 0
@@ -165,7 +164,7 @@ def cmd_effective(args) -> int:
         obj = serialize.effective_series_to_obj(effective)
         if desc is not None:
             obj["concentration"] = serialize.concentration_to_obj(desc)
-        _emit(obj, args)
+        _emit(obj)
     else:
         print(render.render_effective_series(effective))
         if desc is not None:
@@ -176,28 +175,28 @@ def cmd_effective(args) -> int:
 
 def cmd_tropical_divisor(args) -> int:
     t = _load_tableau(args.tableau, args)
-    geom, _ = _load_geometry(args.geometry, args)
+    geom = _load_geometry(args.geometry, args)
     divisor = divisor_from_tableau(t, geom, seed=args.seed)
     if args.format == "json":
-        _emit(serialize.divisor_to_obj(divisor), args)
+        _emit(serialize.divisor_to_obj(divisor))
     else:
         print(render.render_divisor(divisor, geom))
     return 0
 
 
 def cmd_tropical_rank(args) -> int:
-    geom, _ = _load_geometry(args.geometry, args)
+    geom = _load_geometry(args.geometry, args)
     divisor = serialize.divisor_from_obj(_load_json(args.divisor), geom)
     print(tropical_rank(geom, divisor))
     return 0
 
 
 def cmd_tropical_table(args) -> int:
-    geom, _ = _load_geometry(args.geometry, args)
+    geom = _load_geometry(args.geometry, args)
     divisor = serialize.divisor_from_obj(_load_json(args.divisor), geom)
     table = tropical_vanishing_table(geom, divisor, args.r)
     if args.format == "json":
-        _emit(serialize.table_to_obj(table), args)
+        _emit(serialize.table_to_obj(table))
     else:
         print(render.render_trop_table(table))
     return 0

@@ -14,21 +14,9 @@ two pinned classes agree exactly when their P-coefficients agree, and a free
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass
-from typing import Iterator
 
 from .tableaux import BNParams, Tableau
-
-_TAG_LOCK = threading.Lock()
-_TAG_COUNTER = itertools.count()
-
-
-def fresh_generic_tag() -> str:
-    """Monotone unique tag for a generic bundle class (thread-safe)."""
-    with _TAG_LOCK:
-        return f"gen{next(_TAG_COUNTER)}"
 
 
 @dataclass(frozen=True)
@@ -36,7 +24,8 @@ class BundleClass:
     """Degree-d line bundle class on one elliptic component.
 
     Either pinned to O(a P_i + (degree-a) Q_i) (``a`` set, ``tag`` None) or a
-    generic class identified only by an opaque tag.
+    generic class identified only by an opaque tag.  Equal tags on a
+    component name the same free class; the default tag is ``gen{i}``.
     """
 
     component: int
@@ -54,7 +43,7 @@ class BundleClass:
 
     @classmethod
     def generic(cls, component: int, degree: int, tag: str | None = None) -> "BundleClass":
-        return cls(component, degree, tag=tag if tag is not None else fresh_generic_tag())
+        return cls(component, degree, tag=tag if tag is not None else f"gen{component}")
 
     @property
     def is_special(self) -> bool:
@@ -79,11 +68,6 @@ class BundleClass:
         if self.degree > 0:
             return self.degree
         return 1 if self.a == 0 else 0
-
-
-def riemann_roch_h0(bundle: BundleClass) -> int:
-    """Module-level alias for :meth:`BundleClass.h0`."""
-    return bundle.h0()
 
 
 @dataclass(frozen=True)
@@ -223,7 +207,7 @@ def bundle_from_tableau(t: Tableau, i: int) -> BundleClass:
     """Bundle class on component i under the tableau's series.
 
     Placed index: the pinned class with a = t(i) + i - beta(i, t(i)); free
-    index: a generic class with a fresh tag.
+    index: the generic class ``gen{i}``.
     """
     p = t.params
     if not 1 <= i <= p.g:
@@ -321,29 +305,6 @@ def eh_series_from_tableau(t: Tableau) -> EHSeries:
         bundles.append(bundle_from_tableau(t, i))
         prev = here
     return EHSeries(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
-
-
-@dataclass(frozen=True)
-class BNComponent:
-    """One irreducible component of the Brill-Noether locus."""
-
-    tableau: Tableau
-    world: str  # "elliptic" | "tropical"
-
-    @property
-    def dimension(self) -> int:
-        return len(self.tableau.free_indices)
-
-
-def components_elliptic(params: BNParams) -> Iterator[BNComponent]:
-    """Stream the components of the locus on the elliptic chain.
-
-    Empty whenever rho < 0; each component's dimension equals rho.
-    """
-    from .tableaux import enumerate_tableaux
-
-    for t in enumerate_tableaux(params):
-        yield BNComponent(t, "elliptic")
 
 
 @dataclass(frozen=True)

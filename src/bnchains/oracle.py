@@ -31,7 +31,7 @@ class DiscreteGraph:
     """Unit-edge multigraph model of a chain of loops.
 
     Loop k becomes a cycle of N*(l_k + m_k) edges, consecutive loops sharing
-    the node vertex between them.  ``markers`` maps every chain landmark
+    the node vertex between them.  ``vertex_of`` maps every chain landmark
     (nodes Q_0..Q_g and registered interior points) to its vertex.
     """
 
@@ -50,15 +50,6 @@ class DiscreteGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)
-
-    @property
-    def markers(self) -> dict[ChainPoint, int]:
-        out: dict[ChainPoint, int] = {
-            Node(i): v for i, v in enumerate(self.node_vertices)
-        }
-        for (loop, coord), v in self._interior.items():
-            out[Interior(loop, coord)] = v
-        return out
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -157,9 +148,6 @@ class ChipConfig:
     def items(self):
         return self._chips.items()
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._chips))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ChipConfig) and self._chips == other._chips
 
@@ -191,7 +179,7 @@ def _bfs_distances(adjacency, q: int) -> list[int]:
     return dist
 
 
-def _settle_debt(adjacency, chips: list[int], q: int, firings: list[int]) -> None:
+def _settle_debt(adjacency, chips: list[int], q: int) -> None:
     """Make every vertex except q non-negative by firing balls around q.
 
     Processing layers farthest-first, firing the ball {dist < L} sends chips
@@ -217,7 +205,6 @@ def _settle_debt(adjacency, chips: list[int], q: int, firings: list[int]) -> Non
         )
         ball = [u for u in range(n) if dist[u] < level]
         for u in ball:
-            firings[u] += times
             for w in adjacency[u]:
                 if dist[w] >= level:
                     chips[u] -= times
@@ -246,20 +233,18 @@ def _burn(adjacency, chips: list[int], q: int) -> tuple[list[int], list[int]]:
     return [v for v in range(n) if not burnt[v]], count
 
 
-def _reduce_in_place(adjacency, chips: list[int], q: int) -> list[int]:
-    firings = [0] * len(adjacency)
-    _settle_debt(adjacency, chips, q, firings)
+def _reduce_in_place(adjacency, chips: list[int], q: int) -> None:
+    _settle_debt(adjacency, chips, q)
     while True:
         unburnt, count = _burn(adjacency, chips, q)
         if not unburnt:
-            return firings
+            return
         # fire the whole unburnt set as often as legality allows in one batch
         times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
         unburnt_flags = [False] * len(adjacency)
         for v in unburnt:
             unburnt_flags[v] = True
         for v in unburnt:
-            firings[v] += times
             for w in adjacency[v]:
                 if not unburnt_flags[w]:
                     chips[v] -= times
@@ -271,24 +256,13 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
 
     Non-negative away from q, and no non-empty vertex set avoiding q can fire
     without sending some vertex negative.  Computed by settling debt and then
-    iterating Dhar's burning with batched set-firings.
+    iterating Dhar's burning, firing each unburnt set in one batch.
     """
     chips = [0] * graph.vertex_count
     for v, c in config.items():
         chips[v] = c
     _reduce_in_place(graph.adjacency, chips, q)
     return ChipConfig({v: c for v, c in enumerate(chips) if c})
-
-
-def dhar_reduce_with_firings(
-    graph: DiscreteGraph, config: ChipConfig, q: int
-) -> tuple[ChipConfig, tuple[int, ...]]:
-    """Reduction plus the per-vertex firing counts realizing it."""
-    chips = [0] * graph.vertex_count
-    for v, c in config.items():
-        chips[v] = c
-    firings = _reduce_in_place(graph.adjacency, chips, q)
-    return ChipConfig({v: c for v, c in enumerate(chips) if c}), tuple(firings)
 
 
 def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:

@@ -20,6 +20,7 @@ from .tropical import (
     TropicalDivisor,
     TropVanishingTable,
     chain_point_key,
+    solve_special_point,
 )
 
 
@@ -141,11 +142,8 @@ def render_divisor(
 
 def _speciality(geom: ChainGeometry, pt: Interior, degree: int) -> str:
     k = pt.loop
-    c = geom.circumference(k)
-    l = geom.ell(k)
     for u in range(max(degree, 0) + 1):
-        x = (u + 1) * l
-        if x - (x // c) * c == pt.coord:
+        if solve_special_point(geom, k, u) == pt:
             return f"  ({u}·Q_{k - 1} + x_{k} = {u + 1}·Q_{k} in Pic)"
     return "  (generic)"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .effective import ConcentrationDescription, ConcentrationEntry, EffectiveSeries
+from .effective import ConcentrationDescription, EffectiveSeries
 from .elliptic import BundleClass, EHSeries, VanishingSequence
 from .tableaux import BNParams, Tableau
 from .tropical import (
@@ -18,7 +18,6 @@ from .tropical import (
     ChainPoint,
     Interior,
     Node,
-    ReducedChain,
     TropicalDivisor,
     TropVanishingTable,
     point_on_loop,
@@ -99,7 +98,10 @@ def _bundle_to_obj(bundle: BundleClass) -> dict:
 def _bundle_from_obj(obj: dict, component: int, degree: int) -> BundleClass:
     _check_object(obj, "bundle")
     if "generic" in obj:
-        return BundleClass.generic(component, degree, tag=str(obj["generic"]))
+        tag = obj["generic"]
+        if not isinstance(tag, str):
+            raise ValueError(f"generic: expected a string tag, got {tag!r}")
+        return BundleClass.generic(component, degree, tag=tag)
     a = _int(obj["aP"], "aP")
     if a + _int(obj["bQ"], "bQ") != degree:
         raise ValueError(
@@ -245,14 +247,6 @@ def divisor_from_obj(obj: dict, geom: ChainGeometry | None = None) -> TropicalDi
     return TropicalDivisor(tuple(pairs))
 
 
-def reduced_to_obj(reduced: ReducedChain) -> dict:
-    return {
-        "u": reduced.u,
-        "epsilon": list(reduced.epsilon),
-        "x": [None if pt is None else point_to_obj(pt) for pt in reduced.x],
-    }
-
-
 def table_to_obj(table: TropVanishingTable) -> dict:
     return {
         "u": [_seq_to_list(row) for row in table.u],
@@ -277,17 +271,3 @@ def concentration_to_obj(desc: ConcentrationDescription) -> dict:
         "head_degree": desc.head_degree,
         "entries": entries,
     }
-
-
-def concentration_from_obj(obj: dict) -> ConcentrationDescription:
-    params = BNParams(int(obj["g"]), int(obj["d"]), int(obj["r"]))
-    entries = []
-    for e in obj["entries"]:
-        kind = e["kind"]
-        if kind == "point":
-            entries.append(
-                ConcentrationEntry(int(e["component"]), kind, int(e["cP"]), int(e["cQ"]))
-            )
-        else:
-            entries.append(ConcentrationEntry(int(e["component"]), kind))
-    return ConcentrationDescription(params, int(obj["head_degree"]), tuple(entries))

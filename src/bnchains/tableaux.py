@@ -161,9 +161,6 @@ class Tableau:
             raise ValueError(f"column {s} outside 0..{self.params.k - 1}")
         return sum(1 for v in self.columns[s] if v <= i)
 
-    def row_word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
-
 
 @dataclass(frozen=True)
 class TableauCheck:

@@ -35,10 +35,6 @@ class SamplingError(RuntimeError):
     """Generic-point sampling exhausted its retry budget."""
 
 
-def _mod(x: Fraction, c: Fraction) -> Fraction:
-    return x % c
-
-
 @dataclass(frozen=True)
 class ChainGeometry:
     """Arc lengths (l_k, m_k) of the g loops, all positive exact rationals."""
@@ -104,7 +100,7 @@ def point_on_loop(geom: ChainGeometry, k: int, coord: Fraction) -> ChainPoint:
     """Canonical point of loop k at ``coord`` (any rational, reduced mod c_k)."""
     if not 1 <= k <= geom.g:
         raise ValueError(f"loop {k} outside 1..{geom.g}")
-    x = _mod(Fraction(coord), geom.circumference(k))
+    x = Fraction(coord) % geom.circumference(k)
     if x == 0:
         return Node(k - 1)
     if x == geom.ell(k):
@@ -227,7 +223,7 @@ def _split(
             degrees[pt.loop - 1] += mult
             sums[pt.loop - 1] += pt.coord * mult
     loops = [
-        (degree, _mod(total, l + m), l, l + m)
+        (degree, total % (l + m), l, l + m)
         for degree, total, (l, m) in zip(degrees, sums, geom.lengths)
     ]
     return node_mult, loops
@@ -242,7 +238,7 @@ def _loop_step(loop: _Loop, carry: int) -> tuple[int, Fraction]:
     sigma.  Returns ``(moved, sigma)``.
     """
     degree, cls, l, c = loop
-    sigma = _mod(cls + carry * l, c)
+    sigma = (cls + carry * l) % c
     return degree + carry - (sigma != 0), sigma
 
 
@@ -355,7 +351,7 @@ def tropical_vanishing_table(
             c = geom.circumference(i)
             l = geom.ell(i)
             specials = [
-                t for t in range(r + 1) if _mod((u[t] + 1) * l, c) == coord
+                t for t in range(r + 1) if (u[t] + 1) * l % c == coord
             ]
             if not specials:
                 tags.append("e")
@@ -423,8 +419,7 @@ def _sample_generic_point(
 ) -> Interior:
     c = geom.circumference(k)
     l = geom.ell(k)
-    avoid = {_mod((u + 1) * l, c) for u in range(d + 1)}
-    avoid.update({Fraction(0), l})
+    avoid = {(u + 1) * l % c for u in range(d + 1)}
     for _ in range(_SAMPLE_RETRIES):
         j = rng.randrange(1, _SAMPLE_DENOMINATOR)
         coord = c * j / _SAMPLE_DENOMINATOR

@@ -176,9 +176,15 @@ def _check_tableau(
                 f"degree {divisor.degree} != {params.d}",
                 _tableau_repro(t, geom, seed),
             )
-        reduced = reduce_to_q0(geom, divisor)
-        rebuilt: dict = {Node(0): reduced.u}
-        for k, (eps, x) in enumerate(zip(reduced.epsilon, reduced.x), start=1):
+        try:
+            table = tropical_vanishing_table(geom, divisor, params.r)
+        except Exception as exc:  # rank deficiency or ambiguity is a failure here
+            return VerifyFailure(
+                "dynamic table", repr(exc), _tableau_repro(t, geom, seed)
+            )
+        # the table's seed row, epsilon and x are reduce_to_q0's output
+        rebuilt: dict = {Node(0): table.u[0][0]}
+        for eps, x in zip(table.epsilon, table.x):
             if eps:
                 rebuilt[x] = rebuilt.get(x, 0) + 1
         residue = reduce_to_q0(
@@ -189,12 +195,6 @@ def _check_tableau(
                 "reduction soundness",
                 "reduced representative not equivalent to the divisor",
                 _tableau_repro(t, geom, seed),
-            )
-        try:
-            table = tropical_vanishing_table(geom, divisor, params.r)
-        except Exception as exc:  # rank deficiency or ambiguity is a failure here
-            return VerifyFailure(
-                "dynamic table", repr(exc), _tableau_repro(t, geom, seed)
             )
         for i in range(params.g + 1):
             closed = effective_vanishing_from_tableau(t, i)

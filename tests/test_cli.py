@@ -111,6 +111,19 @@ def test_eh_table_and_json(capsys, tableau_file):
     assert series.vanish_q[0].orders == (6, 4, 3)
 
 
+def test_eh_and_effective_json_are_deterministic(capsys, tmp_path):
+    # (5, 4, 1) has a free index: two runs in one process print equal bytes
+    path = tmp_path / "tableau.json"
+    t = next(iter(enumerate_tableaux(BNParams(5, 4, 1))))
+    assert t.free_indices
+    path.write_text(json.dumps(ser.tableau_to_obj(t)))
+    for command in ("eh", "effective"):
+        argv = (command, "--tableau", str(path), "--format", "json")
+        first = run(capsys, *argv)
+        assert first[0] == 0 and '"generic": "gen' in first[1]
+        assert run(capsys, *argv) == first
+
+
 def test_eh_rejects_invalid_tableau(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"g": 6, "d": 6, "r": 2, "rows": [[2, 1, 4], [3, 5, 6]]}))
@@ -288,6 +301,21 @@ def test_non_integer_scalar_exits_one(capsys, tmp_path, bad):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "g: expected an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [None, [1, {"x": 2}], 3, True])
+def test_non_string_generic_tag_exits_one(capsys, tmp_path, bad):
+    obj = {
+        "g": 1,
+        "d": 0,
+        "r": 0,
+        "components": [{"bundle": {"generic": bad}, "vanish_P": [0], "vanish_Q": [0]}],
+    }
+    path = tmp_path / "eh.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "effective", "--from-eh", str(path))
+    assert code == 1 and out == ""
+    assert "generic: expected a string" in err and "Traceback" not in err
 
 
 def test_tableau_rows_not_a_list_exits_one(capsys, tmp_path):

@@ -12,14 +12,13 @@ from bnchains import (
     check_eh_series,
     check_vanishing_pair,
     component_intersection,
-    components_elliptic,
     eh_series_from_tableau,
     enumerate_tableaux,
     propagate_vanishing,
-    riemann_roch_h0,
     vanishing_from_tableau,
 )
 from bnchains.elliptic import EHSeries
+from bnchains.verify import sweep_params
 
 from worked_example import EH_662, PARAMS_662, tableau_662
 
@@ -33,7 +32,7 @@ def test_h0():
     assert BundleClass.special(1, 0, 0).h0() == 1
     assert BundleClass.generic(1, 0).h0() == 0
     assert BundleClass.special(1, -2, 1).h0() == 0
-    assert riemann_roch_h0(BundleClass.special(2, 3, 0)) == 3
+    assert BundleClass.special(2, 3, 0).h0() == 3
 
 
 def test_bundle_equality_rules():
@@ -42,8 +41,9 @@ def test_bundle_equality_rules():
     c = BundleClass.special(1, 6, 3)
     assert a == b and a != c
     g1 = BundleClass.generic(1, 6)
-    g2 = BundleClass.generic(1, 6)
-    assert g1 != g2  # fresh tags
+    assert g1 == BundleClass.generic(1, 6)  # same component, default tag
+    assert g1.tag == "gen1"
+    assert g1 != BundleClass.generic(1, 6, tag="other")
     assert g1 == BundleClass.generic(1, 6, tag=g1.tag)
     assert g1 != a
     with pytest.raises(ValueError):
@@ -189,14 +189,19 @@ def test_eh_series_smallest_chain():
     assert vq.orders == (0,)
 
 
-def test_components_elliptic():
-    comps = list(components_elliptic(BNParams(6, 6, 2)))
-    assert len(comps) == 5
-    assert all(c.dimension == 0 and c.world == "elliptic" for c in comps)
-    comps = list(components_elliptic(BNParams(5, 4, 1)))
-    assert len(comps) == 10
-    assert all(c.dimension == 1 for c in comps)
-    assert list(components_elliptic(BNParams(5, 3, 1))) == []
+def test_eh_series_is_a_pure_function():
+    # every tableau with a free index up to g = 6: generic classes are named
+    # by their component, so building the series twice gives equal values
+    seen = 0
+    for p in sweep_params(6):
+        for t in enumerate_tableaux(p):
+            if t.free_indices:
+                seen += 1
+                series = eh_series_from_tableau(t)
+                assert series == eh_series_from_tableau(t)
+                for i in t.free_indices:
+                    assert series.bundles[i - 1].tag == f"gen{i}"
+    assert seen > 0
 
 
 def test_component_intersection():

@@ -121,6 +121,14 @@ def test_eh_series_round_trip_with_generic():
     assert ser.eh_series_from_obj(obj) == series  # tags preserved
 
 
+@pytest.mark.parametrize("bad", [None, [1, {"x": 2}], {"n": 1}, 3, True])
+def test_generic_tag_must_be_a_string(bad):
+    obj = ser.eh_series_to_obj(eh_series_from_tableau(tableau_662()))
+    obj["components"][0]["bundle"] = {"generic": bad}
+    with pytest.raises(ValueError, match="^generic: expected a string"):
+        ser.eh_series_from_obj(obj)
+
+
 def test_eh_series_rejects_degree_mismatch():
     series = eh_series_from_tableau(tableau_662())
     obj = ser.eh_series_to_obj(series)
@@ -167,15 +175,28 @@ def test_divisor_from_tableau_round_trip(geom662):
 def test_reduced_and_table_objects(geom662):
     d = divisor_from_tableau(tableau_662(), geom662)
     red = reduce_to_q0(geom662, d)
-    obj = through_json(ser.reduced_to_obj(red))
-    assert obj["u"] == 2 and obj["epsilon"] == [1, 1, 1, 0, 1, 0]
+    assert red.u == 2
     table = tropical_vanishing_table(geom662, d, 2)
     tobj = through_json(ser.table_to_obj(table))
     assert tobj["u"][0] == [2, 1, 0]
+    assert tobj["epsilon"] == [1, 1, 1, 0, 1, 0]
+    assert tobj["x"] == [None if x is None else ser.point_to_obj(x) for x in red.x]
     assert tobj["cases"] == ["d", "d", "d", "b", "d", "b"]
 
 
-def test_concentration_round_trip():
+def test_concentration_object():
     desc = describe_concentration(tableau_662())
     obj = through_json(ser.concentration_to_obj(desc))
-    assert ser.concentration_from_obj(obj) == desc
+    assert obj == {
+        "g": 6,
+        "d": 6,
+        "r": 2,
+        "head_degree": 3,
+        "entries": [
+            {"component": 2, "kind": "point", "cP": 1, "cQ": 2},
+            {"component": 3, "kind": "point", "cP": 3, "cQ": 4},
+            {"component": 4, "kind": "trivial"},
+            {"component": 5, "kind": "point", "cP": 1, "cQ": 2},
+            {"component": 6, "kind": "trivial"},
+        ],
+    }
