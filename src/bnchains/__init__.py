@@ -67,6 +67,7 @@ from .tropical import (
     ReducedChain,
     SamplingError,
     TropicalDivisor,
+    TropicalTooLargeError,
     TropVanishingTable,
     check_genericity,
     divisor_from_tableau,

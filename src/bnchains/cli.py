@@ -10,7 +10,8 @@ Subcommands::
     verify     run the cross-model agreement suite
 
 Exit codes: 0 success, 1 validation failure (including malformed flags),
-2 oracle capacity exceeded, 3 internal disagreement found by verify.
+2 oracle or tropical sweep capacity exceeded, 3 internal disagreement found
+by verify.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .oracle import (
 from .tableaux import BNParams, count_components, enumerate_tableaux, validate_tableau
 from .tropical import (
     SamplingError,
+    TropicalTooLargeError,
     check_genericity,
     divisor_from_tableau,
     tropical_rank,
@@ -57,7 +59,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise CLIError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(obj: dict) -> None:
@@ -337,7 +342,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except OracleTooLargeError as exc:
+    except (OracleTooLargeError, TropicalTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CLIError as exc:

@@ -9,7 +9,9 @@ Linear equivalence on a single loop is class arithmetic in the circle group
 R/(c_k Z): two divisors of equal degree are equivalent iff the weighted sums
 of their coordinates agree mod c_k.  Everything here (reduction, effectivity,
 special points, vanishing tables, rank) reduces to that one fact, which is why
-all lengths and coordinates are Fractions and no floats appear anywhere.
+all lengths and coordinates are Fractions and no floats appear anywhere.  The
+inner loops scale loop k by the lcm n_k of its denominators and run on
+integers; Fractions appear again only in the points they return.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 from .elliptic import VanishingSequence
@@ -33,6 +36,23 @@ class AmbiguousSpecialPointError(ValueError):
 
 class SamplingError(RuntimeError):
     """Generic-point sampling exhausted its retry budget."""
+
+
+class TropicalTooLargeError(RuntimeError):
+    """A rank sweep or vanishing table wider than ``_MAX_SWEEP_WIDTH``."""
+
+
+# Widest rank sweep or vanishing table built, one list entry per step of r.
+# At the cap a sweep holds about 40 MB and, for N * Q_0 on six loops, takes
+# about 3.4 s (Python 3.11, 2 cores).
+_MAX_SWEEP_WIDTH = 10**6
+
+
+def _check_width(width: int) -> None:
+    if width > _MAX_SWEEP_WIDTH:
+        raise TropicalTooLargeError(
+            f"sweep width {width} exceeds the cap {_MAX_SWEEP_WIDTH}"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,22 +216,34 @@ class ReducedChain:
     x: tuple[ChainPoint | None, ...]
 
 
-_Loop = tuple[int, Fraction, Fraction, Fraction]
+_Loop = tuple[int, int, int, int, int]
+
+
+def _scale(l: Fraction, m: Fraction, *denominators: int) -> tuple[int, int, int]:
+    """``(l, c, n)``: a loop's l and c = l + m as integers in units of 1/n.
+
+    n is the lcm of the denominators of l and m and of ``denominators``.
+    """
+    n = lcm(l.denominator, m.denominator, *denominators)
+    ell = l.numerator * (n // l.denominator)
+    return ell, ell + m.numerator * (n // m.denominator), n
 
 
 def _split(
     geom: ChainGeometry, divisor: TropicalDivisor
 ) -> tuple[list[int], list[_Loop]]:
-    """Node multiplicities at Q_0..Q_g and (deg_k, class_k, l_k, c_k) per loop.
+    """Node multiplicities at Q_0..Q_g and (deg_k, class_k, l_k, c_k, n_k) per loop.
 
     Interior points enter only through their loop's degree and class in
-    R/(c_k Z), which is all the right-to-left sweeps below need.  Points
-    outside the chain raise ``ValueError``.
+    R/(c_k Z), which is all the right-to-left sweeps below need.  Loop k is
+    measured in units of 1/n_k, the lcm of the denominators of l_k, m_k and
+    the coordinates on it, so its class, l_k and c_k are integers and every
+    later step on it is integer arithmetic.  Points outside the chain raise
+    ``ValueError``.
     """
     g = geom.g
     node_mult = [0] * (g + 1)
-    degrees = [0] * g
-    sums = [Fraction(0)] * g
+    on_loop: list[list[tuple[Fraction, int]]] = [[] for _ in range(g)]
     for pt, mult in divisor.points:
         if isinstance(pt, Node):
             if pt.index > g:
@@ -220,26 +252,51 @@ def _split(
         else:
             if pt.loop > g:
                 raise ValueError(f"loop {pt.loop} outside chain of genus {g}")
-            degrees[pt.loop - 1] += mult
-            sums[pt.loop - 1] += pt.coord * mult
-    loops = [
-        (degree, total % (l + m), l, l + m)
-        for degree, total, (l, m) in zip(degrees, sums, geom.lengths)
-    ]
+            on_loop[pt.loop - 1].append((pt.coord, mult))
+    loops = []
+    for (l, m), points in zip(geom.lengths, on_loop):
+        ell, c, n = _scale(l, m, *(x.denominator for x, _ in points))
+        cls = sum(x.numerator * (n // x.denominator) * mult for x, mult in points)
+        loops.append((sum(mult for _, mult in points), cls % c, ell, c, n))
     return node_mult, loops
 
 
-def _loop_step(loop: _Loop, carry: int) -> tuple[int, Fraction]:
+def _loop_step(loop: _Loop, carry: int) -> tuple[int, int]:
     """What loop k passes on to Q_{k-1} when ``carry`` chips arrive at Q_k.
 
     The carry joins the loop at coordinate l_k, so the loop class becomes
-    sigma = class_k + carry * l_k mod c_k.  All of the degree moves when
-    sigma is zero, all but one otherwise, leaving one point at coordinate
-    sigma.  Returns ``(moved, sigma)``.
+    sigma = class_k + carry * l_k mod c_k, one integer ``%`` in units of
+    1/n_k.  All of the degree moves when sigma is zero, all but one
+    otherwise, leaving one point at coordinate sigma / n_k.  Returns
+    ``(moved, sigma)``.
     """
-    degree, cls, l, c = loop
+    degree, cls, l, c, _ = loop
     sigma = (cls + carry * l) % c
     return degree + carry - (sigma != 0), sigma
+
+
+def _reduce(
+    geom: ChainGeometry, divisor: TropicalDivisor
+) -> tuple[int, list[_Loop], list[int]]:
+    """``reduce_to_q0`` in integers: u, the scaled loops and each loop's sigma."""
+    node_mult, loops = _split(geom, divisor)
+    sigmas = [0] * geom.g
+    carry = node_mult[geom.g]
+    for k in range(geom.g, 0, -1):
+        moved, sigmas[k - 1] = _loop_step(loops[k - 1], carry)
+        carry = node_mult[k - 1] + moved
+    return carry, loops, sigmas
+
+
+def _reduced_chain(u: int, loops: list[_Loop], sigmas: list[int]) -> ReducedChain:
+    """The reduced representative, with each leftover at sigma / n_k."""
+    leftovers: list[ChainPoint | None] = []
+    for k, ((_, _, l, _, n), sigma) in enumerate(zip(loops, sigmas), start=1):
+        if sigma == 0:
+            leftovers.append(None)
+        else:
+            leftovers.append(Node(k) if sigma == l else Interior(k, Fraction(sigma, n)))
+    return ReducedChain(u, tuple(int(s != 0) for s in sigmas), tuple(leftovers))
 
 
 def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
@@ -250,18 +307,7 @@ def reduce_to_q0(geom: ChainGeometry, divisor: TropicalDivisor) -> ReducedChain:
     Negative multiplicities are allowed; the result is the canonical
     representative of the divisor class.
     """
-    g = geom.g
-    node_mult, loops = _split(geom, divisor)
-    epsilon = [0] * g
-    leftovers: list[ChainPoint | None] = [None] * g
-    carry = node_mult[g]
-    for k in range(g, 0, -1):
-        moved, sigma = _loop_step(loops[k - 1], carry)
-        if sigma != 0:
-            epsilon[k - 1] = 1
-            leftovers[k - 1] = point_on_loop(geom, k, sigma)
-        carry = node_mult[k - 1] + moved
-    return ReducedChain(carry, tuple(epsilon), tuple(leftovers))
+    return _reduced_chain(*_reduce(geom, divisor))
 
 
 def is_equivalent_to_effective(geom: ChainGeometry, divisor: TropicalDivisor) -> bool:
@@ -271,7 +317,7 @@ def is_equivalent_to_effective(geom: ChainGeometry, divisor: TropicalDivisor) ->
     multiplicity one elsewhere, so the class is effective exactly when that
     coefficient is non-negative.
     """
-    return reduce_to_q0(geom, divisor).u >= 0
+    return _reduce(geom, divisor)[0] >= 0
 
 
 def solve_special_point(geom: ChainGeometry, k: int, u: int) -> ChainPoint:
@@ -282,18 +328,6 @@ def solve_special_point(geom: ChainGeometry, k: int, u: int) -> ChainPoint:
     if u < 0:
         raise ValueError(f"multiplicity must be >= 0, got {u}")
     return point_on_loop(geom, k, (u + 1) * geom.ell(k))
-
-
-def _coord_on_loop(geom: ChainGeometry, k: int, pt: ChainPoint) -> Fraction:
-    if isinstance(pt, Interior):
-        if pt.loop != k:
-            raise ValueError(f"point on loop {pt.loop}, expected {k}")
-        return pt.coord
-    if pt.index == k:
-        return geom.ell(k)
-    if pt.index == k - 1:
-        return Fraction(0)
-    raise ValueError(f"node Q_{pt.index} not on loop {k}")
 
 
 @dataclass(frozen=True)
@@ -323,22 +357,26 @@ def tropical_vanishing_table(
 
     Seeds u(0) = (u, u-1, ..., u-r) from the reduced representative and walks
     the loops left to right applying the five update cases, detecting
-    speciality of each leftover point by exact class comparison.  Raises
-    :class:`RankDeficiencyError` when the strictly-decreasing non-negative
-    shape cannot be maintained, which certifies rank < r.
+    speciality of each leftover point by integer class comparison in the
+    loop's units of 1/n_k (``_split``).  Raises :class:`RankDeficiencyError`
+    when the strictly-decreasing non-negative shape cannot be maintained,
+    which certifies rank < r, and :class:`TropicalTooLargeError` when r is
+    above ``_MAX_SWEEP_WIDTH``.
     """
     if r < 0:
         raise ValueError(f"rank must be >= 0, got {r}")
-    reduced = reduce_to_q0(geom, divisor)
-    if reduced.u < r:
+    _check_width(r)
+    u0, loops, sigmas = _reduce(geom, divisor)
+    if u0 < r:
         raise RankDeficiencyError(
-            f"rank deficiency at loop 0: reduced multiplicity {reduced.u} < {r}"
+            f"rank deficiency at loop 0: reduced multiplicity {u0} < {r}"
         )
-    u = list(range(reduced.u, reduced.u - r - 1, -1))
+    reduced = _reduced_chain(u0, loops, sigmas)
+    u = list(range(u0, u0 - r - 1, -1))
     rows = [VanishingSequence(tuple(u))]
     tags = []
-    for i in range(1, geom.g + 1):
-        if reduced.epsilon[i - 1] == 0:
+    for i, ((_, _, l, c, _), sigma) in enumerate(zip(loops, sigmas), start=1):
+        if sigma == 0:
             if u[r] > 0:
                 u = [v - 1 for v in u]
                 tags.append("a")
@@ -346,13 +384,8 @@ def tropical_vanishing_table(
                 u = [v - 1 for v in u[:r]] + [u[r]]
                 tags.append("b")
         else:
-            x = reduced.x[i - 1]
-            coord = _coord_on_loop(geom, i, x)
-            c = geom.circumference(i)
-            l = geom.ell(i)
-            specials = [
-                t for t in range(r + 1) if (u[t] + 1) * l % c == coord
-            ]
+            # the leftover sits at sigma, in the loop's integer units
+            specials = [t for t in range(r + 1) if (u[t] + 1) * l % c == sigma]
             if not specials:
                 tags.append("e")
             elif len(specials) > 1:
@@ -417,63 +450,81 @@ def divisor_from_tableau(
 def _sample_generic_point(
     geom: ChainGeometry, k: int, d: int, rng: random.Random
 ) -> Interior:
-    c = geom.circumference(k)
-    l = geom.ell(k)
-    avoid = {(u + 1) * l % c for u in range(d + 1)}
+    ell, c, n = _scale(*geom.lengths[k - 1])
+    # in units of 1/n the special coordinates are (u + 1) * l mod c, and the
+    # candidate c * j / 1009 is one of them only if 1009 divides c * j
+    avoid = {(u + 1) * ell % c for u in range(d + 1)}
     for _ in range(_SAMPLE_RETRIES):
         j = rng.randrange(1, _SAMPLE_DENOMINATOR)
-        coord = c * j / _SAMPLE_DENOMINATOR
-        if coord not in avoid:
-            return Interior(k, coord)
+        coord, rest = divmod(c * j, _SAMPLE_DENOMINATOR)
+        if rest or coord not in avoid:
+            return Interior(k, Fraction(c * j, n * _SAMPLE_DENOMINATOR))
     raise SamplingError(f"loop {k}: could not sample a generic point")
+
+
+def _least_carries(
+    geom: ChainGeometry, divisor: TropicalDivisor, width: int
+) -> list[int]:
+    """Least Q_0 coefficient ``best[j]`` of D - E over node divisors E >= 0 of degree j <= width.
+
+    ``reduce_to_q0`` sees a node divisor E only through the integer carry
+    reaching each node, and loop k passes on (``_loop_step``)
+
+        moved(k, c) = deg_k + c - [class_k + c * l_k != 0 mod c_k],
+
+    which is non-decreasing in c (one more chip moves at least as much).  The
+    final coefficient at Q_0 is therefore monotone in every carry, so its
+    minimum over E is found by one right-to-left sweep that keeps, for each
+    j = 0..width, the least carry ``best[j]`` at Q_k after removing j chips
+    from Q_k..Q_g:
+
+        best[j] <- n_{k-1} + min over i <= j of (moved(k, best[i]) - (j - i)).
+
+    ``best[j]`` depends only on ``best[0..j]``, so one sweep serves every j
+    at once; ``best[0]`` is ``reduce_to_q0``'s u, and ``best`` is
+    non-increasing in j.  With the minimum kept as a running prefix minimum
+    the sweep is g * (width + 1) integer steps.  A width above
+    ``_MAX_SWEEP_WIDTH`` raises :class:`TropicalTooLargeError`.
+    """
+    _check_width(width)
+    node_mult, loops = _split(geom, divisor)
+    g = geom.g
+    best = [node_mult[g] - j for j in range(width + 1)]
+    for k in range(g, 0, -1):
+        loop = loops[k - 1]
+        base = node_mult[k - 1]
+        lowest = None
+        for j, carry in enumerate(best):
+            moved = _loop_step(loop, carry)[0]
+            if lowest is None or moved + j < lowest:
+                lowest = moved + j
+            best[j] = base + lowest - j
+    return best
 
 
 def rank_at_least(geom: ChainGeometry, divisor: TropicalDivisor, r: int) -> bool:
     """Rank test: is D - E effective-equivalent for every node divisor E >= 0 of degree r?
 
     The nodes Q_0..Q_g are a rank-determining set on the chain, so this is the
-    true rank bound; for r <= 0 it needs no E.  The E are never listed:
-    ``reduce_to_q0`` sees E only through the integer carry c reaching each
-    node, and loop k passes on (``_loop_step``)
-
-        moved(k, c) = deg_k + c - [class_k + c * l_k != 0 mod c_k],
-
-    which is non-decreasing in c (one more chip moves at least as much).  The
-    final coefficient u at Q_0 is therefore monotone in every carry, so its
-    minimum over E is found by one right-to-left sweep that keeps, for each
-    j = 0..r, the least carry ``best[j]`` at Q_k after removing j chips from
-    Q_k..Q_g:
-
-        best[j] <- n_{k-1} + min over i <= j of (moved(k, best[i]) - (j - i)).
-
-    D has rank >= r iff ``best[r] >= 0`` at Q_0.  With the minimum kept as a
-    running prefix minimum that is O(g * r) integer steps and g * (r + 1)
-    class tests, where listing the E would take C(g + r, r) reductions.
+    true rank bound; for r < 0 it needs no E.  The E are never listed: one
+    integer sweep of width r (``_least_carries``) gives the least Q_0
+    coefficient over all of them, and D has rank >= r iff it is
+    non-negative.  That is O(g * r) integer steps, where listing the E would
+    take C(g + r, r) reductions.
     """
-    if r <= 0:
-        return is_equivalent_to_effective(geom, divisor) if r == 0 else True
-    node_mult, loops = _split(geom, divisor)
-    g = geom.g
-    best = [node_mult[g] - j for j in range(r + 1)]
-    for k in range(g, 0, -1):
-        loop = loops[k - 1]
-        lowest = None
-        for j, carry in enumerate(best):
-            moved = _loop_step(loop, carry)[0]
-            if lowest is None or moved + j < lowest:
-                lowest = moved + j
-            best[j] = node_mult[k - 1] + lowest - j
-    return best[r] >= 0
+    if r < 0:
+        return True
+    return _least_carries(geom, divisor, r)[r] >= 0
 
 
 def tropical_rank(geom: ChainGeometry, divisor: TropicalDivisor) -> int:
-    """Exact rank: -1 when not effective-equivalent, else the largest passing r.
+    """Exact rank: the largest r with ``rank_at_least``, or -1 when not effective-equivalent.
 
-    r climbs while ``rank_at_least`` holds, each test one sweep of the chain.
+    No rank exceeds deg D, so one integer sweep of width max(deg D, 0)
+    (``_least_carries``) decides every r at once; since ``best`` is
+    non-increasing, the rank is the number of its non-negative entries less
+    one.  A degree above ``_MAX_SWEEP_WIDTH`` raises
+    :class:`TropicalTooLargeError`.
     """
-    if not is_equivalent_to_effective(geom, divisor):
-        return -1
-    r = 0
-    while r + 1 <= divisor.degree and rank_at_least(geom, divisor, r + 1):
-        r += 1
-    return r
+    best = _least_carries(geom, divisor, max(divisor.degree, 0))
+    return sum(b >= 0 for b in best) - 1

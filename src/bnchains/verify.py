@@ -32,7 +32,6 @@ from .tropical import (
     check_genericity,
     divisor_from_tableau,
     is_equivalent_to_effective,
-    rank_at_least,
     reduce_to_q0,
     tropical_rank,
     tropical_vanishing_table,
@@ -98,7 +97,7 @@ def run_suite(
     oracle_winnability_trials: int = 60,
     oracle_rank_trials: int = 15,
     subdiv_cap: int = 100_000,
-    rank_certification_g_max: int = 5,
+    rank_certification_g_max: int = 6,
 ) -> SuiteResult:
     result = SuiteResult()
     rng = random.Random(seed)
@@ -206,16 +205,11 @@ def _check_tableau(
                         _tableau_repro(t, geom, seed),
                     )
         if params.g <= rank_certification_g_max:
-            if not rank_at_least(geom, divisor, params.r):
+            rank = tropical_rank(geom, divisor)
+            if rank != params.r:
                 return VerifyFailure(
                     "rank certification",
-                    f"rank < {params.r}",
-                    _tableau_repro(t, geom, seed),
-                )
-            if rank_at_least(geom, divisor, params.r + 1):
-                return VerifyFailure(
-                    "rank certification",
-                    f"rank > {params.r}",
+                    f"rank {rank} != {params.r}",
                     _tableau_repro(t, geom, seed),
                 )
     return None

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,6 +275,79 @@ def test_tropical_rank_riemann_roch_degree(capsys, geometry_file, tmp_path):
         capsys, "tropical", "rank", "--divisor", str(div_path), "--geometry", geometry_file
     )
     assert code == 0 and out.strip() == "34"
+
+
+def test_tropical_rank_large_multiplicity(capsys, geometry_file, tmp_path):
+    # one integer sweep of width 10^5; a climb over r took hours here
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 10**5}]}))
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "tropical", "rank", "--divisor", str(div_path), "--geometry", geometry_file
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.strip() == "99994"
+
+
+def test_tropical_sweep_over_cap_exits_two(capsys, geometry_file, tmp_path):
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 10**12}]}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "tropical", "rank", "--divisor", str(div_path), "--geometry", geometry_file
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "cap" in err and "Traceback" not in err
+    code, out, err = run(
+        capsys, "tropical", "table", "--divisor", str(div_path),
+        "--geometry", geometry_file, "--r", str(10**12),
+    )
+    assert code == 2 and out == ""
+    assert "cap" in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_one(capsys, geometry_file, tmp_path):
+    div_path = tmp_path / "div.json"
+    div_path.write_text("[" * 100_000)
+    code, out, err = run(
+        capsys, "tropical", "rank", "--divisor", str(div_path), "--geometry", geometry_file
+    )
+    assert code == 1 and out == ""
+    assert "nested" in err and "Traceback" not in err
+
+
+def test_tropical_divisor_json_bytes_fixed(capsys, tmp_path):
+    # sampled points on loops with fractional lengths; bytes pinned from the
+    # Fraction-only implementation before the integer loops
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps({
+        "g": 5,
+        "loops": [{"l": f"{9 + k}/{1 + k % 3}", "m": f"1/{1 + k % 2}"} for k in range(5)],
+    }))
+    tab_path = tmp_path / "tableau.json"
+    digest = hashlib.sha256()
+    outputs = []
+    for params in (BNParams(5, 4, 1), BNParams(5, 5, 1), BNParams(5, 6, 2)):
+        for t in enumerate_tableaux(params):
+            tab_path.write_text(json.dumps(ser.tableau_to_obj(t)))
+            for seed in ("0", "1", "7"):
+                code, out, _ = run(
+                    capsys, "tropical", "divisor", "--tableau", str(tab_path),
+                    "--geometry", str(geom_path), "--seed", seed, "--format", "json",
+                )
+                assert code == 0
+                outputs.append(out)
+                digest.update(out.encode())
+    assert json.loads(outputs[0]) == {"points": [
+        {"node": 0, "mult": 1},
+        {"loop": 1, "coord": "8650/1009", "mult": 1},
+        {"loop": 2, "coord": "9/2", "mult": 1},
+        {"loop": 4, "coord": "23/2", "mult": 1},
+    ]}
+    assert digest.hexdigest() == (
+        "4d4b94fd27842c0f895b409e10c39c3da2ec783bdf67922e463d7b3dc68c51d3"
+    )
 
 
 def test_divisor_file_top_level_array_exits_one(capsys, geometry_file, tmp_path):

@@ -14,6 +14,7 @@ from bnchains import (
     RankDeficiencyError,
     Tableau,
     TropicalDivisor,
+    TropicalTooLargeError,
     check_genericity,
     divisor_from_tableau,
     effective_vanishing_from_tableau,
@@ -26,7 +27,7 @@ from bnchains import (
     tropical_rank,
     tropical_vanishing_table,
 )
-from bnchains.tropical import _loop_step, _split
+from bnchains.tropical import _MAX_SWEEP_WIDTH, _loop_step, _split
 
 from worked_example import (
     PARAMS_662,
@@ -87,12 +88,22 @@ def test_genericity_examples():
 
 def test_loop_class_examples():
     geom = circle()
-    # interior points enter through their loop's (degree, class), nodes apart
+    # interior points enter through their loop's (degree, class), nodes apart;
+    # a loop is (degree, class, l, c, n) in integer units of 1/n
     nodes, loops = _split(geom, TropicalDivisor(((Node(0), 2), (Interior(1, F(11)), 1))))
-    assert nodes == [2, 0] and loops == [(1, F(11), F(13), F(14))]
-    assert _split(geom, TropicalDivisor(())) == ([0, 0], [(0, F(0), F(13), F(14))])
+    assert nodes == [2, 0] and loops == [(1, 11, 13, 14, 1)]
+    assert _split(geom, TropicalDivisor(())) == ([0, 0], [(0, 0, 13, 14, 1)])
     # chips carried into Q_1 join the class at l_1 = 13: 3 * 13 = 11 mod 14
-    assert _loop_step((0, F(0), F(13), F(14)), 3) == (2, F(11))
+    assert _loop_step((0, 0, 13, 14, 1), 3) == (2, 11)
+    # n is the lcm of the denominators of l = 13/2, m = 1/3 and the class 5/4
+    geom = ChainGeometry(((F(13, 2), F(1, 3)),))
+    _, loops = _split(geom, TropicalDivisor(((Interior(1, F(5, 4)), 1),)))
+    assert loops == [(1, 15, 78, 82, 12)]
+    # 5/4 + 13/2 = 11/12 mod 41/6: one of the two chips moves, one stays at 11/12
+    assert _loop_step(loops[0], 1) == (1, 11)
+    assert reduce_to_q0(geom, TropicalDivisor(((Interior(1, F(5, 4)), 1), (Node(1), 1)))).x == (
+        Interior(1, F(11, 12)),
+    )
 
 
 def test_loop_reduce_examples():
@@ -390,6 +401,16 @@ def _rank_at_least_by_witnesses(geom, divisor, r):
     return True
 
 
+def _rank_by_climb(geom, divisor):
+    """Reference rank: r climbs while ``rank_at_least`` holds, one sweep per r."""
+    if not is_equivalent_to_effective(geom, divisor):
+        return -1
+    r = 0
+    while r + 1 <= divisor.degree and rank_at_least(geom, divisor, r + 1):
+        r += 1
+    return r
+
+
 def _random_geometry(rng, g, generic):
     if generic:
         bound = max(2 * g - 2, 1)
@@ -427,6 +448,7 @@ def test_rank_sweep_matches_witness_search():
         for r in range(-1, max(divisor.degree, 0) + 2):
             expected = _rank_at_least_by_witnesses(geom, divisor, r)
             assert rank_at_least(geom, divisor, r) == expected, (geom, divisor, r)
+        assert tropical_rank(geom, divisor) == _rank_by_climb(geom, divisor), (geom, divisor)
     assert (False, False) in kinds and (True, True) in kinds
 
 
@@ -457,6 +479,7 @@ def geometry_divisor_rank(draw):
 def test_rank_sweep_matches_witness_search_property(data):
     geom, divisor, r = data
     assert rank_at_least(geom, divisor, r) == _rank_at_least_by_witnesses(geom, divisor, r)
+    assert tropical_rank(geom, divisor) == _rank_by_climb(geom, divisor)
 
 
 def test_rank_rejects_points_outside_chain():
@@ -486,3 +509,47 @@ def test_rank_above_canonical_degree_is_riemann_roch():
         divisor = divisor + TropicalDivisor(((Node(0), degree - divisor.degree),))
         assert divisor.degree == degree
         assert tropical_rank(geom, divisor) == degree - g
+
+
+def test_sampled_points_scale_loops_by_1009():
+    # free indices get coordinates c * j / 1009, so their loops are scaled by
+    # a multiple of 1009 on top of the denominators of l and m
+    geom = ChainGeometry(tuple((F(9 + k, 1 + k % 3), F(1, 1 + k % 2)) for k in range(5)))
+    assert check_genericity(geom).generic
+    scaled = 0
+    for params in (BNParams(5, 4, 1), BNParams(5, 5, 1), BNParams(5, 6, 2)):
+        assert params.rho > 0
+        for t in enumerate_tableaux(params):
+            for seed in (0, 1, 7):
+                divisor = divisor_from_tableau(t, geom, seed=seed)
+                _, loops = _split(geom, divisor)
+                for pt, _ in divisor.points:
+                    if isinstance(pt, Interior) and pt.coord.denominator % 1009 == 0:
+                        scaled += 1
+                        assert loops[pt.loop - 1][4] % 1009 == 0
+                assert tropical_rank(geom, divisor) == params.r == _rank_by_climb(geom, divisor)
+                table = tropical_vanishing_table(geom, divisor, params.r)
+                for i in range(params.g + 1):
+                    assert table.u[i] == effective_vanishing_from_tableau(t, i)
+                red = reduce_to_q0(geom, divisor)
+                rebuilt = {Node(0): red.u}
+                for eps, x in zip(red.epsilon, red.x):
+                    if eps:
+                        rebuilt[x] = rebuilt.get(x, 0) + 1
+                residue = reduce_to_q0(geom, divisor - TropicalDivisor.from_dict(rebuilt))
+                assert residue.u == 0 and not any(residue.epsilon)
+    assert scaled > 100
+
+
+def test_sweep_width_cap():
+    geom = circle()
+    big = TropicalDivisor(((Node(0), 10**12),))
+    with pytest.raises(TropicalTooLargeError):
+        tropical_rank(geom, big)
+    with pytest.raises(TropicalTooLargeError):
+        rank_at_least(geom, big, _MAX_SWEEP_WIDTH + 1)
+    with pytest.raises(TropicalTooLargeError):
+        tropical_vanishing_table(geom, big, 10**12)
+    # the cap is on the sweep's width, not on the divisor
+    assert rank_at_least(geom, big, 5)
+    assert tropical_vanishing_table(geom, big, 2).u[0].orders == (10**12, 10**12 - 1, 10**12 - 2)

@@ -50,6 +50,25 @@ def test_suite_detects_tampered_closed_form(monkeypatch):
     assert any("tableau" in f.reproducer for f in result.failures)
 
 
+def test_suite_detects_wrong_rank(monkeypatch):
+    import inspect
+
+    # the default certifies every genus of the default verify --g-max 6
+    assert inspect.signature(vf.run_suite).parameters["rank_certification_g_max"].default == 6
+    original = vf.tropical_rank
+    monkeypatch.setattr(vf, "tropical_rank", lambda geom, divisor: original(geom, divisor) + 1)
+    result = vf.run_suite(
+        g_max=2,
+        seed=1,
+        geometries_per_param=1,
+        oracle_winnability_trials=0,
+        oracle_rank_trials=0,
+    )
+    assert not result.passed
+    assert {f.check for f in result.failures} == {"rank certification"}
+    assert all("tableau" in f.reproducer for f in result.failures)
+
+
 def test_random_generic_geometry_is_generic():
     import random
 
