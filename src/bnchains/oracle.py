@@ -4,12 +4,16 @@ This is the safety net for the exact-rational machinery: the metric chain is
 scaled by the least common multiple of all denominators so that every landmark
 (node or registered divisor point) is a vertex of a finite multigraph with
 unit edges, and then winnability and Baker-Norine rank are computed purely
-graph-side with Dhar's burning algorithm.  Rank uses the criterion of Baker
-and Norine: rank >= r iff, for every effective E of degree r - 1 and every
-vertex w, the w-reduced form of D - E keeps a chip on w.  Each E is checked by
-walking the root over all vertices, re-reducing from the previous root's
-reduced form.  Nothing here shares logic with the loop-class arithmetic it
-cross-checks.
+graph-side with Dhar's burning algorithm.  Most vertices of the subdivision
+have degree 2, so when a firing sends chips only into paths of such vertices,
+they move along the paths by a whole distance in one step, as in Dhar's
+burning on a metric graph; each step is a sequence of legal firings, so
+every reduced form is the one unit steps give.  Rank uses the criterion of
+Baker and Norine: rank >= r iff, for every effective E of degree r - 1 and
+every vertex w, the w-reduced form of D - E keeps a chip on w.  Each E is
+checked by walking the root over all vertices, re-reducing from the previous
+root's reduced form.  Nothing here shares logic with the loop-class
+arithmetic it cross-checks.
 """
 
 from __future__ import annotations
@@ -183,30 +187,30 @@ def _settle_debt(adjacency, chips: list[int], q: int) -> None:
     """Make every vertex except q non-negative by firing balls around q.
 
     Processing layers farthest-first, firing the ball {dist < L} sends chips
-    only onto layer L, so one descending pass pushes all debt into q.
+    only across the edges from layer L - 1 to layer L, so one descending pass
+    over the layers, O(V + E) in all, pushes all debt into q.
     """
-    n = len(adjacency)
-    if all(chips[v] >= 0 for v in range(n) if v != q):
+    held = chips[q]
+    chips[q] = 0
+    solvent = min(chips) >= 0
+    chips[q] = held
+    if solvent:
         return
     dist = _bfs_distances(adjacency, q)
-    layers: dict[int, list[int]] = {}
-    for v in range(n):
-        if v != q:
-            layers.setdefault(dist[v], []).append(v)
-    inflow = [0] * n
-    for v in range(n):
-        inflow[v] = sum(1 for w in adjacency[v] if dist[w] < dist[v])
-    for level in sorted(layers, reverse=True):
-        debtors = [v for v in layers[level] if chips[v] < 0]
-        if not debtors:
+    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+    for v, level in enumerate(dist):
+        layers[level].append(v)
+    for level in range(len(layers) - 1, 0, -1):
+        times = 0
+        for v in layers[level]:
+            if chips[v] < 0:
+                inflow = sum(1 for w in adjacency[v] if dist[w] < level)
+                times = max(times, (-chips[v] + inflow - 1) // inflow)
+        if not times:
             continue
-        times = max(
-            (-chips[v] + inflow[v] - 1) // inflow[v] for v in debtors
-        )
-        ball = [u for u in range(n) if dist[u] < level]
-        for u in ball:
+        for u in layers[level - 1]:
             for w in adjacency[u]:
-                if dist[w] >= level:
+                if dist[w] == level:
                     chips[u] -= times
                     chips[w] += times
 
@@ -230,25 +234,77 @@ def _burn(adjacency, chips: list[int], q: int) -> tuple[list[int], list[int]]:
                 if count[w] > chips[w]:
                     burnt[w] = True
                     stack.append(w)
+    if False not in burnt:
+        return [], count
     return [v for v in range(n) if not burnt[v]], count
 
 
 def _reduce_in_place(adjacency, chips: list[int], q: int) -> None:
+    """Turn ``chips`` into its q-reduced form, firing by distance.
+
+    After debt is settled, each pass burns from q and fires the unburnt set U
+    as often as every vertex of U can afford at once.  If every edge out of U
+    enters a vertex of degree 2 other than q, each such edge starts a path of
+    burnt degree-2 vertices, and the bundle just fired into each path moves
+    on by t steps: t is the shortest walk from U to q or to a vertex of
+    degree other than 2.  Each path vertex was burnt from its far side alone
+    (its near side burnt later or not at all), so it holds no chips, and no
+    walk turns back into U or meets another.  Moving the bundles t steps is
+    then firing U plus the first j vertices of every path for j = 1..t-1,
+    each a legal firing that sends exactly the bundles one edge on.  Legal
+    firings keep the configuration equivalent and non-negative away from q,
+    and the q-reduced form is unique, so the result is the one unit steps
+    give.
+    """
     _settle_debt(adjacency, chips, q)
+    n = len(adjacency)
     while True:
         unburnt, count = _burn(adjacency, chips, q)
         if not unburnt:
             return
         # fire the whole unburnt set as often as legality allows in one batch
         times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
-        unburnt_flags = [False] * len(adjacency)
+        unburnt_flags = [False] * n
         for v in unburnt:
             unburnt_flags[v] = True
+        along_paths = True
         for v in unburnt:
             for w in adjacency[v]:
                 if not unburnt_flags[w]:
+                    if along_paths and (w == q or len(adjacency[w]) != 2):
+                        along_paths = False
                     chips[v] -= times
                     chips[w] += times
+        if along_paths:
+            _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times)
+
+
+def _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times) -> None:
+    """Move the bundle on each path out of U until the first walk stops.
+
+    All walks step in lockstep from the path's first vertex and stop together
+    as soon as one reaches q or a vertex of degree other than 2.
+    """
+    behind = []
+    ahead = []
+    for v in unburnt:
+        for w in adjacency[v]:
+            if not unburnt_flags[w]:
+                behind.append(v)
+                ahead.append(w)
+    starts = list(ahead)
+    moving = True
+    while moving:
+        for i, v in enumerate(ahead):
+            a, b = adjacency[v]
+            w = b if a == behind[i] else a
+            behind[i] = v
+            ahead[i] = w
+            if w == q or len(adjacency[w]) != 2:
+                moving = False
+    for start, end in zip(starts, ahead):
+        chips[start] -= times
+        chips[end] += times
 
 
 def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
@@ -256,7 +312,11 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
 
     Non-negative away from q, and no non-empty vertex set avoiding q can fire
     without sending some vertex negative.  Computed by settling debt and then
-    iterating Dhar's burning, firing each unburnt set in one batch.
+    iterating Dhar's burning, firing each unburnt set in one batch; where the
+    unburnt set borders only chipless paths of degree-2 vertices, the fired
+    chips run along them to the nearest branch vertex or q in one step, as on
+    a metric graph.  Every step is a sequence of legal firings, so the answer
+    is the unique q-reduced form.
     """
     chips = [0] * graph.vertex_count
     for v, c in config.items():

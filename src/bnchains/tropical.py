@@ -142,14 +142,19 @@ class TropicalDivisor:
     points: tuple[tuple[ChainPoint, int], ...]
 
     def __post_init__(self):
-        merged: dict[ChainPoint, int] = {}
-        for pt, mult in self.points:
-            merged[pt] = merged.get(pt, 0) + int(mult)
-        cleaned = tuple(
-            (pt, m)
-            for pt, m in sorted(merged.items(), key=lambda it: chain_point_key(it[0]))
-            if m != 0
+        # sort on the chain key and coalesce runs of equal keys: equal keys
+        # mean equal points, and no Fraction coordinate gets hashed
+        entries = sorted(
+            (chain_point_key(pt), i, pt, int(mult))
+            for i, (pt, mult) in enumerate(self.points)
         )
+        merged: list[list] = []
+        for key, _, pt, mult in entries:
+            if merged and merged[-1][0] == key:
+                merged[-1][2] += mult
+            else:
+                merged.append([key, pt, mult])
+        cleaned = tuple((pt, m) for _, pt, m in merged if m != 0)
         object.__setattr__(self, "points", cleaned)
 
     @classmethod
@@ -431,9 +436,7 @@ def divisor_from_tableau(
     if p.g != geom.g:
         raise ValueError(f"tableau genus {p.g} != geometry genus {geom.g}")
     rng = random.Random(seed)
-    support: dict[ChainPoint, int] = {}
-    if p.r > 0:
-        support[Node(0)] = p.r
+    support: list[tuple[ChainPoint, int]] = [(Node(0), p.r)]
     for i in range(1, p.g + 1):
         if t.is_placed(i):
             s = t.column_of(i)
@@ -443,8 +446,8 @@ def divisor_from_tableau(
             x = solve_special_point(geom, i, u)
         else:
             x = _sample_generic_point(geom, i, p.d, rng)
-        support[x] = support.get(x, 0) + 1
-    return TropicalDivisor.from_dict(support)
+        support.append((x, 1))
+    return TropicalDivisor(tuple(support))
 
 
 def _sample_generic_point(

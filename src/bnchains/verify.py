@@ -182,13 +182,9 @@ def _check_tableau(
                 "dynamic table", repr(exc), _tableau_repro(t, geom, seed)
             )
         # the table's seed row, epsilon and x are reduce_to_q0's output
-        rebuilt: dict = {Node(0): table.u[0][0]}
-        for eps, x in zip(table.epsilon, table.x):
-            if eps:
-                rebuilt[x] = rebuilt.get(x, 0) + 1
-        residue = reduce_to_q0(
-            geom, divisor - TropicalDivisor.from_dict(rebuilt)
-        )
+        rebuilt = [(Node(0), table.u[0][0])]
+        rebuilt.extend((x, 1) for eps, x in zip(table.epsilon, table.x) if eps)
+        residue = reduce_to_q0(geom, divisor - TropicalDivisor(tuple(rebuilt)))
         if residue.u != 0 or any(residue.epsilon):
             return VerifyFailure(
                 "reduction soundness",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnchains import (
+    BNParams,
     ChainGeometry,
     ChipConfig,
     Interior,
@@ -15,14 +17,18 @@ from bnchains import (
     bn_rank,
     chips_from_divisor,
     dhar_reduce,
+    divisor_from_tableau,
+    enumerate_tableaux,
     is_equivalent_to_effective,
     is_winnable,
+    oracle,
     point_on_loop,
     reduce_to_q0,
     subdivide_chain,
     tropical_rank,
 )
-from bnchains.oracle import _reduce_in_place
+from bnchains.oracle import _bfs_distances, _reduce_in_place, _settle_debt
+from bnchains.verify import run_suite
 
 
 def cycle_graph(l=13, m=1):
@@ -310,3 +316,219 @@ def test_warm_rereduction_equals_cold_reduction(case):
     _reduce_in_place(graph.adjacency, chips, w)
     warm = ChipConfig({v: c for v, c in enumerate(chips) if c})
     assert warm == dhar_reduce(graph, cfg, w)
+
+
+def _ball_settle_debt(adjacency, chips, q):
+    """Reference debt settling: fire the whole ball {dist < L} for each layer L."""
+    n = len(adjacency)
+    if all(chips[v] >= 0 for v in range(n) if v != q):
+        return
+    dist = _bfs_distances(adjacency, q)
+    layers = {}
+    for v in range(n):
+        if v != q:
+            layers.setdefault(dist[v], []).append(v)
+    inflow = [sum(1 for w in adjacency[v] if dist[w] < dist[v]) for v in range(n)]
+    for level in sorted(layers, reverse=True):
+        debtors = [v for v in layers[level] if chips[v] < 0]
+        if not debtors:
+            continue
+        times = max((-chips[v] + inflow[v] - 1) // inflow[v] for v in debtors)
+        for u in range(n):
+            if dist[u] < level:
+                for w in adjacency[u]:
+                    if dist[w] >= level:
+                        chips[u] -= times
+                        chips[w] += times
+
+
+def _unit_step_reduce(adjacency, chips, q):
+    """Reference reduction: each pass fires the unburnt set, moving chips one edge.
+
+    Returns the number of burn passes.
+    """
+    _ball_settle_debt(adjacency, chips, q)
+    n = len(adjacency)
+    passes = 0
+    while True:
+        passes += 1
+        burnt = [False] * n
+        burnt[q] = True
+        count = [0] * n
+        stack = [q]
+        while stack:
+            v = stack.pop()
+            for w in adjacency[v]:
+                if not burnt[w]:
+                    count[w] += 1
+                    if count[w] > chips[w]:
+                        burnt[w] = True
+                        stack.append(w)
+        unburnt = [v for v in range(n) if not burnt[v]]
+        if not unburnt:
+            return passes
+        times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
+        for v in unburnt:
+            for w in adjacency[v]:
+                if burnt[w]:
+                    chips[v] -= times
+                    chips[w] += times
+
+
+def _subdivided_multigraph(base, edges):
+    """Adjacency of a multigraph whose edge (a, b, k) becomes a path of k unit edges.
+
+    Vertices 0..base-1 are the base vertices; the inner vertices of the paths
+    follow in edge order.  Parallel base edges of length 1 stay parallel.
+    """
+    adjacency = [[] for _ in range(base)]
+    for a, b, k in edges:
+        path = [a] + list(range(len(adjacency), len(adjacency) + k - 1)) + [b]
+        adjacency.extend([] for _ in range(k - 1))
+        for x, y in zip(path, path[1:]):
+            adjacency[x].append(y)
+            adjacency[y].append(x)
+    return tuple(tuple(nbrs) for nbrs in adjacency)
+
+
+def _random_edges(rng, base):
+    """A spanning tree plus extra edges, some parallel, some cycles at one vertex."""
+    pairs = [(rng.randrange(v), v) for v in range(1, base)]
+    pairs += [(rng.randrange(base), rng.randrange(base)) for _ in range(rng.randrange(1, 4))]
+    if rng.random() < 0.3:
+        pairs.append(pairs[0])
+    lengths = (1, 1, 2, 3, 5, 8, 13)
+    return [(a, b, rng.choice(lengths if a != b else lengths[2:])) for a, b in pairs]
+
+
+def _random_chips(rng, n, low=-3, high=4):
+    chips = [0] * n
+    for _ in range(rng.randrange(0, 8)):
+        chips[rng.randrange(n)] += rng.randrange(low, high)
+    if rng.random() < 0.3:
+        chips[rng.randrange(n)] += rng.randrange(5, 15)  # a pile that fires in bundles
+    return chips
+
+
+def _reduction_graphs(rng, count):
+    """Subdivided multigraphs with long paths, and chain-of-loops models."""
+    for i in range(count):
+        if i % 3 == 2:
+            yield _random_multigraph(rng, 40).adjacency
+        else:
+            base = rng.randrange(1, 6)
+            yield _subdivided_multigraph(base, _random_edges(rng, base))
+
+
+def _count_burn_passes(monkeypatch):
+    """Wrap ``oracle._burn``; the returned list's one entry counts its calls."""
+    passes = [0]
+    original_burn = oracle._burn
+
+    def counting_burn(adjacency, chips, q):
+        passes[0] += 1
+        return original_burn(adjacency, chips, q)
+
+    monkeypatch.setattr(oracle, "_burn", counting_burn)
+    return passes
+
+
+def test_reduction_matches_unit_step_reference(monkeypatch):
+    # every root of every graph, so paths start next to q, end at q or run past it
+    rng = random.Random(77)
+    passes = _count_burn_passes(monkeypatch)
+    reference_passes = cases = 0
+    for adjacency in _reduction_graphs(rng, 150):
+        n = len(adjacency)
+        chips = _random_chips(rng, n)
+        for q in range(n):
+            fast = list(chips)
+            _reduce_in_place(adjacency, fast, q)
+            slow = list(chips)
+            reference_passes += _unit_step_reduce(adjacency, slow, q)
+            assert fast == slow, (adjacency, chips, q)
+            cases += 1
+    assert cases > 2000
+    # the paths are long enough that firing by distance saves a third of the passes
+    assert passes[0] * 3 < reference_passes * 2
+
+
+@st.composite
+def _multigraph_case(draw):
+    base = draw(st.integers(1, 5))
+    vertex = st.integers(0, base - 1)
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, base)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
+    # a cycle at one vertex needs two edges, or it would be a self-loop
+    edges = [(a, b, max(draw(st.integers(1, 12)), 1 + (a == b))) for a, b in pairs]
+    adjacency = _subdivided_multigraph(base, edges)
+    vertices = st.integers(0, len(adjacency) - 1)
+    chips = [0] * len(adjacency)
+    for v, c in draw(st.dictionaries(vertices, st.integers(-4, 9), max_size=7)).items():
+        chips[v] = c
+    return adjacency, chips, draw(vertices)
+
+
+@given(_multigraph_case())
+@settings(max_examples=300, deadline=None)
+def test_reduction_matches_unit_step_reference_property(case):
+    adjacency, chips, q = case
+    fast = list(chips)
+    _reduce_in_place(adjacency, fast, q)
+    slow = list(chips)
+    _unit_step_reduce(adjacency, slow, q)
+    assert fast == slow
+
+
+def test_settle_debt_matches_ball_firing():
+    rng = random.Random(91)
+    settled = 0
+    for adjacency in _reduction_graphs(rng, 150):
+        n = len(adjacency)
+        chips = _random_chips(rng, n, low=-6, high=3)
+        for q in rng.sample(range(n), min(n, 6)):
+            fast = list(chips)
+            _settle_debt(adjacency, fast, q)
+            slow = list(chips)
+            _ball_settle_debt(adjacency, slow, q)
+            assert fast == slow, (adjacency, chips, q)
+            assert all(c >= 0 for v, c in enumerate(fast) if v != q)
+            settled += fast != chips
+    assert settled > 300
+
+
+def test_rho_one_divisor_minus_points_is_within_reach():
+    # a sampled point of denominator 1009 puts the (3,3,1) divisor on 18,160
+    # vertices; unit steps took 13-59 s per winnability test there
+    geom = ChainGeometry(tuple((F(4 + j), F(1)) for j in range(3)))
+    tableau = next(iter(enumerate_tableaux(BNParams(3, 3, 1))))
+    divisor = divisor_from_tableau(tableau, geom)
+    rng = random.Random(3)
+    points = [Node(0), Node(2), Node(3)]
+    while len(points) < 6:
+        k = rng.randrange(1, 4)
+        units = rng.randrange(1, 1009 * int(geom.circumference(k)))
+        pt = point_on_loop(geom, k, F(units, 1009))
+        if isinstance(pt, Interior):
+            points.append(pt)
+    answers = set()
+    for w in points:
+        for mult in (1, 2):
+            rest = divisor - TropicalDivisor(((w, mult),))
+            graph = subdivide_chain(geom, [pt for pt, _ in rest.points])
+            assert graph.vertex_count == 18_160
+            chips = chips_from_divisor(graph, rest)
+            start = time.perf_counter()
+            oracle_side = is_winnable(graph, chips, 0)
+            assert time.perf_counter() - start < 2.0
+            assert oracle_side == is_equivalent_to_effective(geom, rest), (w, mult)
+            answers.add(oracle_side)
+    # the rank is 1, so D - w is winnable; D - 2w mostly is not
+    assert answers == {True, False}
+
+
+def test_run_suite_burn_passes_bounded(monkeypatch):
+    # a count, not a time: the unit-step reduction took 12,470 passes here
+    passes = _count_burn_passes(monkeypatch)
+    assert run_suite(6, 0).passed
+    assert passes[0] <= 4_724
