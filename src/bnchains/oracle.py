@@ -9,11 +9,14 @@ have degree 2, so when a firing sends chips only into paths of such vertices,
 they move along the paths by a whole distance in one step, as in Dhar's
 burning on a metric graph; each step is a sequence of legal firings, so
 every reduced form is the one unit steps give.  Rank uses the criterion of
-Baker and Norine: rank >= r iff, for every effective E of degree r - 1 and
-every vertex w, the w-reduced form of D - E keeps a chip on w.  Each E is
-checked by walking the root over all vertices, re-reducing from the previous
-root's reduced form.  Nothing here shares logic with the loop-class
-arithmetic it cross-checks.
+Baker and Norine: rank >= r iff D - F is winnable for every effective F of
+degree r.  With the vertices numbered in depth-first order, each F is split
+once as F = E + w, w at or after the last vertex of E, and D - F is winnable
+iff the w-reduced form of D - E keeps a chip on w.  For each E the root walks
+that suffix of vertices, re-reducing from the previous root's reduced form,
+and the first reduction of D - E starts from the previous E's first reduced
+form plus E_prev - E.  E and w range over all vertices, not only the nodes.
+Nothing here shares logic with the loop-class arithmetic it cross-checks.
 """
 
 from __future__ import annotations
@@ -347,16 +350,20 @@ def _dfs_order(adjacency, q: int) -> list[int]:
 
 
 def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> int:
-    """Baker-Norine rank of the configuration D, by a walk of the root.
+    """Baker-Norine rank of the configuration D, by suffix walks of the root.
 
-    -1 when D is not winnable.  Otherwise the largest r <= deg D such that,
-    for every effective E of degree r - 1 and every vertex w, the w-reduced
-    form of D - E keeps a chip on w.  By Baker-Norine that says D - E - w,
-    hence D minus any effective degree-r configuration, is winnable.  For each
-    E, in lexicographic multiset order over the vertices, D - E is reduced at
-    q = 0 and then re-reduced in place as the root walks all vertices in
-    depth-first order from q, so each reduction starts from the reduced form
-    at a nearby root.  A level fails at the first root left without a chip.
+    -1 when D is not winnable.  Otherwise the largest r <= deg D such that
+    D - F is winnable for every effective F of degree r, the criterion of
+    Baker and Norine.  The vertices are numbered by their position in the
+    depth-first order from q = 0, and each F is split once as F = E + w: E
+    of degree r - 1, a multiset of positions in lexicographic order, and w
+    a root at or after the last position of E.  D - F is winnable iff the
+    w-reduced form of D - E keeps a chip on w.  For each E, D - E is reduced
+    at its first root, starting from the previous E's reduced form at that
+    E's first root plus E_prev - E, and then re-reduced in place as the root
+    walks the rest of the suffix, so each reduction starts from the reduced
+    form at a nearby root.  Reduced forms are unique, so the warm starts
+    change no answer.  A level fails at the first root left without a chip.
     The orders are fixed, so runs are deterministic.  Degrees above
     ``degree_cap`` raise :class:`OracleTooLargeError`.
     """
@@ -367,30 +374,35 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
         )
     adjacency = graph.adjacency
     n = graph.vertex_count
-    base = [0] * n
-    for v, c in config.items():
-        base[v] = c
     q = 0
-    reduced = list(base)
+    reduced = [0] * n
+    for v, c in config.items():
+        reduced[v] = c
     _reduce_in_place(adjacency, reduced, q)
     if reduced[q] < 0:
         return -1
     walk = _dfs_order(adjacency, q)
 
-    def every_root_keeps_a_chip(removed: tuple[int, ...]) -> bool:
-        work = list(base)
-        for v in removed:
-            work[v] -= 1
-        for w in walk:
-            _reduce_in_place(adjacency, work, w)
-            if work[w] < 1:
-                return False
+    def every_split_keeps_a_chip(r: int) -> bool:
+        # the q-reduced D with E_prev = () seeds the first E
+        seed, seed_removed = reduced, ()
+        for removed in combinations_with_replacement(range(n), r - 1):
+            work = list(seed)
+            for p in seed_removed:
+                work[walk[p]] += 1
+            for p in removed:
+                work[walk[p]] -= 1
+            first = removed[-1] if removed else 0
+            for p in range(first, n):
+                w = walk[p]
+                _reduce_in_place(adjacency, work, w)
+                if work[w] < 1:
+                    return False
+                if p == first:
+                    seed, seed_removed = list(work), removed
         return True
 
     r = 0
-    while r + 1 <= degree and all(
-        every_root_keeps_a_chip(removed)
-        for removed in combinations_with_replacement(range(n), r)
-    ):
+    while r + 1 <= degree and every_split_keeps_a_chip(r + 1):
         r += 1
     return r

@@ -424,6 +424,34 @@ def test_verify_small(capsys):
     assert "all checks pass" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--g-max", "0"),
+        ("--g-max", "-2"),
+        ("--geometries", "0"),
+        ("--geometries", "-1"),
+        ("--winnability-trials", "-1"),
+        ("--rank-trials", "-1"),
+    ],
+)
+def test_verify_rejects_out_of_range_counts(capsys, flag, value):
+    # unchecked, --g-max 0 reaches randrange with an empty range, and
+    # --geometries 0 skips every geometry check yet prints "all checks pass"
+    code, out, err = run(capsys, "verify", flag, value)
+    assert code == 1 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
+def test_verify_accepts_smallest_counts(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--g-max", "1", "--geometries", "1",
+        "--winnability-trials", "0", "--rank-trials", "0",
+    )
+    assert code == 0
+    assert "all checks pass" in out
+
+
 def test_verify_disagreement_exits_three(capsys, monkeypatch):
     from bnchains import cli as cli_mod
     from bnchains.verify import SuiteResult, VerifyFailure

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,14 @@ from bnchains import (
     subdivide_chain,
     tropical_rank,
 )
-from bnchains.oracle import _bfs_distances, _reduce_in_place, _settle_debt
-from bnchains.verify import run_suite
+from bnchains.oracle import (
+    DiscreteGraph,
+    _bfs_distances,
+    _dfs_order,
+    _reduce_in_place,
+    _settle_debt,
+)
+from bnchains.verify import run_suite, sweep_params
 
 
 def cycle_graph(l=13, m=1):
@@ -270,6 +277,58 @@ def _random_multigraph(rng, max_vertices):
             return graph
 
 
+def _all_roots_bn_rank(graph, config):
+    """Reference rank: each effective E of degree r - 1 against every root.
+
+    D - E is reduced cold at q = 0 and re-reduced in place as the root walks
+    all vertices in depth-first order, so an F of degree r is checked once
+    for each of its splits F = E + w.
+    """
+    degree = config.degree
+    adjacency = graph.adjacency
+    n = graph.vertex_count
+    base = [0] * n
+    for v, c in config.items():
+        base[v] = c
+    q = 0
+    reduced = list(base)
+    _reduce_in_place(adjacency, reduced, q)
+    if reduced[q] < 0:
+        return -1
+    walk = _dfs_order(adjacency, q)
+
+    def every_root_keeps_a_chip(removed):
+        work = list(base)
+        for v in removed:
+            work[v] -= 1
+        for w in walk:
+            _reduce_in_place(adjacency, work, w)
+            if work[w] < 1:
+                return False
+        return True
+
+    r = 0
+    while r + 1 <= degree and all(
+        every_root_keeps_a_chip(removed)
+        for removed in combinations_with_replacement(range(n), r)
+    ):
+        r += 1
+    return r
+
+
+def _random_config(rng, n, degree):
+    """Degree ``degree`` on n vertices, with up to two negative chips."""
+    negative = max(rng.randrange(0, 3), -degree)
+    chips = {}
+    for sign, count in ((1, degree + negative), (-1, negative)):
+        for _ in range(count):
+            v = rng.randrange(n)
+            chips[v] = chips.get(v, 0) + sign
+    cfg = ChipConfig(chips)
+    assert cfg.degree == degree
+    return cfg
+
+
 def test_bn_rank_matches_cold_witness_search():
     rng = random.Random(2024)
     ranks = []
@@ -278,22 +337,102 @@ def test_bn_rank_matches_cold_witness_search():
         # keep the cold search's passing levels, C(n + d - 1, d) witnesses, small
         max_vertices = {5: 12, 4: 16}.get(degree, 25)
         graph = _random_multigraph(rng, max_vertices)
-        n = graph.vertex_count
-        negative = rng.randrange(0, 3)
-        if degree < 0:
-            negative = max(negative, -degree)
-        chips = {}
-        for sign, count in ((1, degree + negative), (-1, negative)):
-            for _ in range(count):
-                v = rng.randrange(n)
-                chips[v] = chips.get(v, 0) + sign
-        cfg = ChipConfig(chips)
-        assert cfg.degree == degree
+        cfg = _random_config(rng, graph.vertex_count, degree)
         rank = bn_rank(graph, cfg)
-        assert rank == _cold_bn_rank(graph, cfg), (graph.adjacency, cfg)
+        context = (graph.adjacency, cfg)
+        assert rank == _cold_bn_rank(graph, cfg) == _all_roots_bn_rank(graph, cfg), context
         ranks.append(rank)
     # every rank a degree <= 5 configuration on a graph of genus >= 1 can have
     assert set(ranks) == set(range(-1, 5))
+
+
+def test_bn_rank_matches_all_roots_walk_beyond_cold_reach():
+    # 30-50 vertices: the cold search would reduce every degree-(r + 1) F cold
+    rng = random.Random(8)
+    ranks = []
+    for _ in range(40):
+        while True:
+            g = rng.randrange(3, 6)
+            geom = ChainGeometry(
+                tuple((F(rng.randrange(4, 10)), F(rng.randrange(1, 4))) for _ in range(g))
+            )
+            graph = subdivide_chain(geom)
+            if 30 <= graph.vertex_count <= 50:
+                break
+        cfg = _random_config(rng, graph.vertex_count, rng.randrange(g - 1, g + 3))
+        rank = bn_rank(graph, cfg)
+        assert rank == _all_roots_bn_rank(graph, cfg), (geom, cfg)
+        ranks.append(rank)
+    assert set(ranks) == {-1, 0, 1, 2}
+
+
+def _relabelled(graph, cfg, perm):
+    """The same graph and configuration with vertex v renamed perm[v]."""
+    adjacency = [()] * graph.vertex_count
+    for v, nbrs in enumerate(graph.adjacency):
+        adjacency[perm[v]] = tuple(perm[w] for w in nbrs)
+    nodes = tuple(perm[v] for v in graph.node_vertices)
+    moved = DiscreteGraph(tuple(adjacency), nodes, {}, graph.scale)
+    return moved, ChipConfig({perm[v]: c for v, c in cfg.items()})
+
+
+def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
+    # on a tree D - F is winnable whenever its degree is >= 0, so every level
+    # passes and the count is exact: one reduction for D and one per effective
+    # F of degree 1..deg D.  The relabelling puts the walk out of vertex order.
+    rng = random.Random(4)
+    n = 12
+    edges = [(rng.randrange(v), v, 1) for v in range(1, n)]
+    tree = DiscreteGraph(_subdivided_multigraph(n, edges), (0,), {}, 1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    graph, cfg = _relabelled(tree, ChipConfig({3: 2, 7: 1}), perm)
+    assert _dfs_order(graph.adjacency, 0) != list(range(n))
+    calls = [0]
+    original_reduce = oracle._reduce_in_place
+
+    def counting_reduce(adjacency, chips, q):
+        calls[0] += 1
+        original_reduce(adjacency, chips, q)
+
+    monkeypatch.setattr(oracle, "_reduce_in_place", counting_reduce)
+    assert bn_rank(graph, cfg) == 3
+    assert calls[0] == 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
+
+
+def _canonical(graph):
+    """K = sum of (deg v - 2) v, of degree 2g - 2 and rank g - 1 (Riemann-Roch)."""
+    return ChipConfig({v: graph.degree(v) - 2 for v in range(graph.vertex_count)})
+
+
+@st.composite
+def _relabelling_case(draw):
+    lengths = st.sampled_from(HALF_LENGTHS)
+    loops = draw(st.lists(st.tuples(lengths, lengths), min_size=1, max_size=3))
+    graph = subdivide_chain(ChainGeometry(tuple(loops)))
+    perm = draw(st.permutations(range(graph.vertex_count)))
+    if draw(st.booleans()):
+        # special, so a warm start from the wrong class changes the answer
+        return graph, _canonical(graph), perm
+    vertex = st.integers(0, graph.vertex_count - 1)
+    chips = {}
+    for sign, most in ((1, 4), (-1, 2)):
+        for v in draw(st.lists(vertex, max_size=most)):
+            chips[v] = chips.get(v, 0) + sign
+    return graph, ChipConfig(chips), perm
+
+
+@given(_relabelling_case())
+@settings(max_examples=150, deadline=None)
+def test_bn_rank_is_invariant_under_relabelling(case):
+    # moving vertex 0 moves q and the walk out of vertex order; a split
+    # F = E + w or a seed that mixed vertex numbers with walk positions
+    # would check the wrong F
+    graph, cfg, perm = case
+    rank = bn_rank(graph, cfg)
+    assert bn_rank(*_relabelled(graph, cfg, perm)) == rank
+    if cfg == _canonical(graph):
+        assert rank == len(graph.node_vertices) - 2  # g - 1
 
 
 @st.composite
@@ -303,19 +442,24 @@ def _reduction_case(draw):
     graph = subdivide_chain(ChainGeometry(tuple(loops)))
     vertex = st.integers(0, graph.vertex_count - 1)
     chips = draw(st.dictionaries(vertex, st.integers(-3, 4), max_size=6))
-    return graph, ChipConfig(chips), draw(vertex), draw(vertex)
+    shift = draw(st.dictionaries(vertex, st.integers(-2, 2), max_size=3))
+    return graph, ChipConfig(chips), ChipConfig(shift), draw(vertex), draw(vertex)
 
 
 @given(_reduction_case())
 @settings(max_examples=200, deadline=None)
 def test_warm_rereduction_equals_cold_reduction(case):
-    # bn_rank re-reduces each root's reduced form at the next root in place
-    graph, cfg, q, w = case
+    # bn_rank re-reduces each root's reduced form at the next root in place,
+    # and starts each E from the previous E's reduced form shifted by E_prev - E
+    graph, cfg, shift, q, w = case
     chips = [cfg[v] for v in range(graph.vertex_count)]
     _reduce_in_place(graph.adjacency, chips, q)
+    for v, c in shift.items():
+        chips[v] += c
     _reduce_in_place(graph.adjacency, chips, w)
     warm = ChipConfig({v: c for v, c in enumerate(chips) if c})
-    assert warm == dhar_reduce(graph, cfg, w)
+    shifted = ChipConfig({v: cfg[v] + shift[v] for v in range(graph.vertex_count)})
+    assert warm == dhar_reduce(graph, shifted, w)
 
 
 def _ball_settle_debt(adjacency, chips, q):
@@ -528,7 +672,48 @@ def test_rho_one_divisor_minus_points_is_within_reach():
 
 
 def test_run_suite_burn_passes_bounded(monkeypatch):
-    # a count, not a time: the unit-step reduction took 12,470 passes here
+    # a count, not a time: the unit-step reduction took 12,470 passes here,
+    # and walking every root for every E took 4,724
     passes = _count_burn_passes(monkeypatch)
     assert run_suite(6, 0).passed
-    assert passes[0] <= 4_724
+    assert passes[0] <= 3_498
+
+
+def _worked_style_geometry(g):
+    """Loops of length 2g - 2 + j and unit bridges: the worked example at g = 6."""
+    bound = max(2 * g - 2, 1)
+    return ChainGeometry(tuple((F(bound + j), F(1)) for j in range(g)))
+
+
+def _tableau_rank_cases(params):
+    geom = _worked_style_geometry(params.g)
+    for t in enumerate_tableaux(params):
+        divisor = divisor_from_tableau(t, geom)
+        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
+        yield geom, divisor, graph, chips_from_divisor(graph, divisor)
+
+
+@pytest.mark.parametrize(
+    "params, bound",
+    [(BNParams(4, 6, 3), 14_142), (BNParams(6, 6, 2), 36_368)],
+    ids=["4-6-3", "6-6-2"],
+)
+def test_bn_rank_burn_passes_bounded(monkeypatch, params, bound):
+    # a count, not a time: walking every root for every E took 48,128 passes
+    # on the (4,6,3) divisor and 105,756 on the five (6,6,2) divisors
+    passes = _count_burn_passes(monkeypatch)
+    for _, _, graph, chips in _tableau_rank_cases(params):
+        assert bn_rank(graph, chips) == params.r
+    assert passes[0] <= bound
+
+
+def test_rho_zero_tableau_divisors_up_to_genus_five():
+    # (5,8,4) is left out of Tier-1: degree 8 on 51 vertices takes about 16 s
+    checked = 0
+    for params in sweep_params(5):
+        if params.rho != 0 or params == BNParams(5, 8, 4):
+            continue
+        for geom, divisor, graph, chips in _tableau_rank_cases(params):
+            assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == params.r
+            checked += 1
+    assert checked == 10
