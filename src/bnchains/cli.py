@@ -10,8 +10,8 @@ Subcommands::
     verify     run the cross-model agreement suite
 
 Exit codes: 0 success, 1 validation failure (including malformed flags),
-2 oracle or tropical sweep capacity exceeded, 3 internal disagreement found
-by verify.
+2 oracle, tropical or verify sweep capacity exceeded, 3 internal disagreement
+found by verify.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .tropical import (
     tropical_rank,
     tropical_vanishing_table,
 )
-from .verify import run_suite
+from .verify import VerifyTooLargeError, run_suite
 
 
 class CLIError(Exception):
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except (OracleTooLargeError, TropicalTooLargeError) as exc:
+    except (OracleTooLargeError, TropicalTooLargeError, VerifyTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CLIError as exc:

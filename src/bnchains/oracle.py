@@ -12,11 +12,14 @@ every reduced form is the one unit steps give.  Rank uses the criterion of
 Baker and Norine: rank >= r iff D - F is winnable for every effective F of
 degree r.  With the vertices numbered in depth-first order, each F is split
 once as F = E + w, w at or after the last vertex of E, and D - F is winnable
-iff the w-reduced form of D - E keeps a chip on w.  For each E the root walks
-that suffix of vertices, re-reducing from the previous root's reduced form,
-and the first reduction of D - E starts from the previous E's first reduced
-form plus E_prev - E.  E and w range over all vertices, not only the nodes.
-Nothing here shares logic with the loop-class arithmetic it cross-checks.
+iff some effective divisor equivalent to D - E has a chip on w.  Each such
+check, and each winnability test, runs the reduction toward its root only
+until it reaches such a divisor, and reduces to the end only when the answer
+is no.  For each E the root walks that suffix of vertices, each check
+starting from the divisor the previous one left, and the first check of
+D - E starts from the divisor the previous E's first check left plus
+E_prev - E.  E and w range over all vertices, not only the nodes.  Nothing
+here shares logic with the loop-class arithmetic it cross-checks.
 """
 
 from __future__ import annotations
@@ -243,43 +246,65 @@ def _burn(adjacency, chips: list[int], q: int) -> tuple[list[int], list[int]]:
 
 
 def _reduce_in_place(adjacency, chips: list[int], q: int) -> None:
-    """Turn ``chips`` into its q-reduced form, firing by distance.
-
-    After debt is settled, each pass burns from q and fires the unburnt set U
-    as often as every vertex of U can afford at once.  If every edge out of U
-    enters a vertex of degree 2 other than q, each such edge starts a path of
-    burnt degree-2 vertices, and the bundle just fired into each path moves
-    on by t steps: t is the shortest walk from U to q or to a vertex of
-    degree other than 2.  Each path vertex was burnt from its far side alone
-    (its near side burnt later or not at all), so it holds no chips, and no
-    walk turns back into U or meets another.  Moving the bundles t steps is
-    then firing U plus the first j vertices of every path for j = 1..t-1,
-    each a legal firing that sends exactly the bundles one edge on.  Legal
-    firings keep the configuration equivalent and non-negative away from q,
-    and the q-reduced form is unique, so the result is the one unit steps
-    give.
-    """
+    """Turn ``chips`` into its q-reduced form: settle debt, then fire until all burns."""
     _settle_debt(adjacency, chips, q)
-    n = len(adjacency)
     while True:
         unburnt, count = _burn(adjacency, chips, q)
         if not unburnt:
             return
-        # fire the whole unburnt set as often as legality allows in one batch
-        times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
-        unburnt_flags = [False] * n
-        for v in unburnt:
-            unburnt_flags[v] = True
-        along_paths = True
-        for v in unburnt:
-            for w in adjacency[v]:
-                if not unburnt_flags[w]:
-                    if along_paths and (w == q or len(adjacency[w]) != 2):
-                        along_paths = False
-                    chips[v] -= times
-                    chips[w] += times
-        if along_paths:
-            _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times)
+        _fire_unburnt(adjacency, chips, q, unburnt, count)
+
+
+def _reaches(adjacency, chips: list[int], q: int, least: int) -> bool:
+    """True iff a divisor equivalent to ``chips`` and effective away from q
+    has at least ``least`` chips on q.
+
+    Runs the reduction of :func:`_reduce_in_place` only while q holds fewer
+    than ``least`` chips.  After debt is settled every vertex but q is
+    non-negative, and each later firing is legal and only adds chips to q,
+    so once q holds ``least`` chips ``chips`` is such a divisor.  If the burn
+    consumes everything first, ``chips`` is the q-reduced form, which has
+    the most chips on q of all divisors effective away from q in the class.
+    """
+    _settle_debt(adjacency, chips, q)
+    while chips[q] < least:
+        unburnt, count = _burn(adjacency, chips, q)
+        if not unburnt:
+            return False
+        _fire_unburnt(adjacency, chips, q, unburnt, count)
+    return True
+
+
+def _fire_unburnt(adjacency, chips: list[int], q: int, unburnt, count) -> None:
+    """Fire the unburnt set U of one burn as often as it can, by distance.
+
+    U fires as often as every vertex of U can afford at once.  If every edge
+    out of U enters a vertex of degree 2 other than q, each such edge starts
+    a path of burnt degree-2 vertices, and the bundle just fired into each
+    path moves on by t steps: t is the shortest walk from U to q or to a
+    vertex of degree other than 2.  Each path vertex was burnt from its far
+    side alone (its near side burnt later or not at all), so it holds no
+    chips, and no walk turns back into U or meets another.  Moving the
+    bundles t steps is then firing U plus the first j vertices of every path
+    for j = 1..t-1, each a legal firing that sends exactly the bundles one
+    edge on.  Legal firings keep the configuration equivalent and
+    non-negative away from q, and the q-reduced form is unique, so a
+    reduction made of these steps ends where unit steps end.
+    """
+    times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
+    unburnt_flags = [False] * len(adjacency)
+    for v in unburnt:
+        unburnt_flags[v] = True
+    along_paths = True
+    for v in unburnt:
+        for w in adjacency[v]:
+            if not unburnt_flags[w]:
+                if along_paths and (w == q or len(adjacency[w]) != 2):
+                    along_paths = False
+                chips[v] -= times
+                chips[w] += times
+    if along_paths:
+        _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times)
 
 
 def _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times) -> None:
@@ -329,9 +354,15 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
 
 
 def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:
-    """True iff the configuration is equivalent to an effective one."""
-    reduced = dhar_reduce(graph, config, q)
-    return reduced[q] >= 0
+    """True iff the configuration is equivalent to an effective one.
+
+    The reduction toward q stops at the first equivalent effective divisor:
+    once debt is settled, as soon as q is out of debt.
+    """
+    chips = [0] * graph.vertex_count
+    for v, c in config.items():
+        chips[v] = c
+    return _reaches(graph.adjacency, chips, q, 0)
 
 
 def _dfs_order(adjacency, q: int) -> list[int]:
@@ -357,13 +388,15 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     Baker and Norine.  The vertices are numbered by their position in the
     depth-first order from q = 0, and each F is split once as F = E + w: E
     of degree r - 1, a multiset of positions in lexicographic order, and w
-    a root at or after the last position of E.  D - F is winnable iff the
-    w-reduced form of D - E keeps a chip on w.  For each E, D - E is reduced
-    at its first root, starting from the previous E's reduced form at that
-    E's first root plus E_prev - E, and then re-reduced in place as the root
-    walks the rest of the suffix, so each reduction starts from the reduced
-    form at a nearby root.  Reduced forms are unique, so the warm starts
-    change no answer.  A level fails at the first root left without a chip.
+    a root at or after the last position of E.  D - F is winnable iff some
+    effective divisor equivalent to D - E has a chip on w, and each check
+    reduces toward w only until it reaches one; it reduces to the end only
+    when the answer is no, since the w-reduced form has the most chips on w.
+    For each E, the first check starts from the divisor the previous E's
+    first check left, plus E_prev - E, and each later root of the suffix
+    from the divisor the previous root left.  Every start is in the class of
+    D - E, so the warm starts change no answer.  A level fails at the first
+    root where no equivalent effective divisor has a chip.
     The orders are fixed, so runs are deterministic.  Degrees above
     ``degree_cap`` raise :class:`OracleTooLargeError`.
     """
@@ -375,17 +408,16 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     adjacency = graph.adjacency
     n = graph.vertex_count
     q = 0
-    reduced = [0] * n
+    effective = [0] * n
     for v, c in config.items():
-        reduced[v] = c
-    _reduce_in_place(adjacency, reduced, q)
-    if reduced[q] < 0:
+        effective[v] = c
+    if not _reaches(adjacency, effective, q, 0):
         return -1
     walk = _dfs_order(adjacency, q)
 
     def every_split_keeps_a_chip(r: int) -> bool:
-        # the q-reduced D with E_prev = () seeds the first E
-        seed, seed_removed = reduced, ()
+        # an effective divisor equivalent to D, with E_prev = (), seeds the first E
+        seed, seed_removed = effective, ()
         for removed in combinations_with_replacement(range(n), r - 1):
             work = list(seed)
             for p in seed_removed:
@@ -395,8 +427,7 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
             first = removed[-1] if removed else 0
             for p in range(first, n):
                 w = walk[p]
-                _reduce_in_place(adjacency, work, w)
-                if work[w] < 1:
+                if not _reaches(adjacency, work, w, 1):
                     return False
                 if p == first:
                     seed, seed_removed = list(work), removed

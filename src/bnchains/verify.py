@@ -55,16 +55,51 @@ class SuiteResult:
         return not self.failures
 
 
+# Units of work a suite may sweep: one per tableau on one geometry and one
+# per oracle trial.  ``verify --g-max 6`` with the defaults sweeps 969 and
+# ``--g-max 11`` 82,938; the tableaux grow about threefold with each genus,
+# so ``--g-max 12`` (227,697) is refused.
+SWEEP_WORK_CAP = 100_000
+
+
+class VerifyTooLargeError(RuntimeError):
+    """The suite would sweep more than :data:`SWEEP_WORK_CAP` units of work."""
+
+
+def _genus_params(g: int) -> list[BNParams]:
+    out = []
+    for r in range(0, g + 1):
+        for d in range(0, 2 * g + 1):
+            p = BNParams(g, d, r)
+            if p.rho >= 0 and p.kbar >= 0:
+                out.append(p)
+    return out
+
+
 def sweep_params(g_max: int) -> list[BNParams]:
     """All (g, d, r) with g <= g_max, rho >= 0 and a non-trivial tableau shape."""
-    out = []
-    for g in range(1, g_max + 1):
-        for r in range(0, g + 1):
-            for d in range(0, 2 * g + 1):
-                p = BNParams(g, d, r)
-                if p.rho >= 0 and p.kbar >= 0:
-                    out.append(p)
-    return out
+    return [p for g in range(1, g_max + 1) for p in _genus_params(g)]
+
+
+def _check_sweep_size(
+    g_max: int, geometries_per_param: int, winnability_trials: int, rank_trials: int
+) -> None:
+    """Raise :class:`VerifyTooLargeError` if the suite exceeds the work cap.
+
+    Counts tableaux by the closed form, genus by genus, and stops as soon as
+    the cap is passed, so the check is cheap for any flags.
+    """
+    work = winnability_trials + rank_trials
+    g = 0
+    while work <= SWEEP_WORK_CAP and g < g_max:
+        g += 1
+        tableaux = sum(count_components(p) for p in _genus_params(g))
+        work += geometries_per_param * tableaux
+    if work > SWEEP_WORK_CAP:
+        raise VerifyTooLargeError(
+            f"verify would sweep more than {SWEEP_WORK_CAP} tableau checks and "
+            "oracle trials; lower --g-max, --geometries or the trial counts"
+        )
 
 
 def random_generic_geometry(g: int, rng: random.Random) -> ChainGeometry:
@@ -99,6 +134,9 @@ def run_suite(
     subdiv_cap: int = 100_000,
     rank_certification_g_max: int = 6,
 ) -> SuiteResult:
+    _check_sweep_size(
+        g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
+    )
     result = SuiteResult()
     rng = random.Random(seed)
     params_list = sweep_params(g_max)

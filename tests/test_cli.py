@@ -452,6 +452,25 @@ def test_verify_accepts_smallest_counts(capsys):
     assert "all checks pass" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--g-max", "14"],
+        ["--g-max", "1000000000"],
+        ["--geometries", "1000000000"],
+        ["--winnability-trials", "1000000000"],
+    ],
+)
+def test_verify_refuses_sweeps_over_the_cap(capsys, args):
+    # --g-max 14 would sweep 642,398 tableaux on 3 geometries each; the cap
+    # is checked from the closed-form counts before any work starts
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "verify would sweep more than" in err and "Traceback" not in err
+
+
 def test_verify_disagreement_exits_three(capsys, monkeypatch):
     from bnchains import cli as cli_mod
     from bnchains.verify import SuiteResult, VerifyFailure

@@ -32,6 +32,7 @@ from bnchains.oracle import (
     DiscreteGraph,
     _bfs_distances,
     _dfs_order,
+    _reaches,
     _reduce_in_place,
     _settle_debt,
 )
@@ -378,7 +379,7 @@ def _relabelled(graph, cfg, perm):
 
 def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     # on a tree D - F is winnable whenever its degree is >= 0, so every level
-    # passes and the count is exact: one reduction for D and one per effective
+    # passes and the count is exact: one root check for D and one per effective
     # F of degree 1..deg D.  The relabelling puts the walk out of vertex order.
     rng = random.Random(4)
     n = 12
@@ -389,15 +390,69 @@ def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     graph, cfg = _relabelled(tree, ChipConfig({3: 2, 7: 1}), perm)
     assert _dfs_order(graph.adjacency, 0) != list(range(n))
     calls = [0]
-    original_reduce = oracle._reduce_in_place
+    original_reaches = oracle._reaches
 
-    def counting_reduce(adjacency, chips, q):
+    def counting_reaches(adjacency, chips, q, least):
         calls[0] += 1
-        original_reduce(adjacency, chips, q)
+        return original_reaches(adjacency, chips, q, least)
 
-    monkeypatch.setattr(oracle, "_reduce_in_place", counting_reduce)
+    monkeypatch.setattr(oracle, "_reaches", counting_reaches)
     assert bn_rank(graph, cfg) == 3
     assert calls[0] == 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
+
+
+def _first_failing_level(adjacency, chips):
+    """The least r with an effective F of degree r and D - F not winnable.
+
+    Returns r and the failing F at that level, at most two of them, each
+    found by a cold reduction; (None, []) when no level up to deg D fails.
+    """
+    n = len(adjacency)
+    for level in range(1, sum(chips) + 1):
+        failing = []
+        for combo in combinations_with_replacement(range(n), level):
+            test = list(chips)
+            for v in combo:
+                test[v] -= 1
+            _reduce_in_place(adjacency, test, 0)
+            if test[0] < 0:
+                failing.append(combo)
+                if len(failing) == 2:
+                    break
+        if failing:
+            return level, failing
+    return None, []
+
+
+def test_bn_rank_checks_the_one_failing_divisor():
+    # at the failing level of these configurations D - F is winnable for all
+    # effective F but one, so bn_rank returns the lower rank only if the F it
+    # checks include that one; relabellings move vertex 0 and the walk out of
+    # vertex order, so a split that mixed vertex numbers with walk positions
+    # would check another set of F
+    rng = random.Random(31)
+    found = {}
+    for _ in range(400):
+        base = rng.randrange(3, 6)
+        pairs = [(rng.randrange(v), v) for v in range(1, base)]
+        pairs += [(rng.randrange(base), rng.randrange(base)) for _ in range(rng.randrange(1, 6))]
+        adjacency = _subdivided_multigraph(base, [(a, b, 1 + (a == b)) for a, b in pairs])
+        n = len(adjacency)
+        chips = [rng.randrange(1, 3) for _ in range(n)]
+        if sum(chips) > 8:
+            continue
+        level, failing = _first_failing_level(adjacency, chips)
+        if level is None or len(failing) != 1:
+            continue
+        found[level] = found.get(level, 0) + 1
+        graph = DiscreteGraph(adjacency, (0,), {}, 1)
+        cfg = ChipConfig(dict(enumerate(chips)))
+        assert bn_rank(graph, cfg) == level - 1, (adjacency, chips)
+        for _ in range(8):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert bn_rank(*_relabelled(graph, cfg, perm)) == level - 1, (adjacency, chips, perm)
+    assert sum(found.values()) >= 10 and len(found) >= 2, found
 
 
 def _canonical(graph):
@@ -624,6 +679,36 @@ def test_reduction_matches_unit_step_reference_property(case):
     assert fast == slow
 
 
+def test_reaches_agrees_with_the_reduced_form():
+    # _reaches stops as soon as q holds `least` chips; its answer must be the
+    # reduced form's, and what it leaves must be in the class of the input,
+    # effective away from q
+    rng = random.Random(19)
+    outcomes = set()
+    stopped_early = 0
+    for _ in range(120):
+        graph = _random_multigraph(rng, 40)
+        n = graph.vertex_count
+        chips = _random_chips(rng, n, low=-4, high=4)
+        cfg = ChipConfig(dict(enumerate(chips)))
+        for q in rng.sample(range(n), min(n, 4)):
+            reduced = dhar_reduce(graph, cfg, q)
+            for least in (0, 1):
+                left = list(chips)
+                reached = _reaches(graph.adjacency, left, q, least)
+                context = (graph.adjacency, chips, q, least)
+                assert reached == (reduced[q] >= least), context
+                assert sum(left) == sum(chips), context
+                assert all(c >= 0 for v, c in enumerate(left) if v != q), context
+                assert left[q] >= least if reached else left[q] < least, context
+                left_cfg = ChipConfig(dict(enumerate(left)))
+                assert dhar_reduce(graph, left_cfg, q) == reduced, context
+                outcomes.add((least, reached))
+                stopped_early += left_cfg != reduced
+    assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
+    assert stopped_early > 100
+
+
 def test_settle_debt_matches_ball_firing():
     rng = random.Random(91)
     settled = 0
@@ -641,9 +726,11 @@ def test_settle_debt_matches_ball_firing():
     assert settled > 300
 
 
-def test_rho_one_divisor_minus_points_is_within_reach():
+def test_rho_one_divisor_minus_points_is_within_reach(monkeypatch):
     # a sampled point of denominator 1009 puts the (3,3,1) divisor on 18,160
-    # vertices; unit steps took 13-59 s per winnability test there
+    # vertices; unit steps took 13-59 s per winnability test there, and
+    # reducing to the end took 238 burn passes for all twelve
+    passes = _count_burn_passes(monkeypatch)
     geom = ChainGeometry(tuple((F(4 + j), F(1)) for j in range(3)))
     tableau = next(iter(enumerate_tableaux(BNParams(3, 3, 1))))
     divisor = divisor_from_tableau(tableau, geom)
@@ -669,14 +756,16 @@ def test_rho_one_divisor_minus_points_is_within_reach():
             answers.add(oracle_side)
     # the rank is 1, so D - w is winnable; D - 2w mostly is not
     assert answers == {True, False}
+    assert passes[0] <= 231
 
 
 def test_run_suite_burn_passes_bounded(monkeypatch):
     # a count, not a time: the unit-step reduction took 12,470 passes here,
-    # and walking every root for every E took 4,724
+    # walking every root for every E took 4,724, and reducing each root check
+    # to the end took 3,498
     passes = _count_burn_passes(monkeypatch)
     assert run_suite(6, 0).passed
-    assert passes[0] <= 3_498
+    assert passes[0] <= 1_981
 
 
 def _worked_style_geometry(g):
@@ -695,12 +784,13 @@ def _tableau_rank_cases(params):
 
 @pytest.mark.parametrize(
     "params, bound",
-    [(BNParams(4, 6, 3), 14_142), (BNParams(6, 6, 2), 36_368)],
+    [(BNParams(4, 6, 3), 6_202), (BNParams(6, 6, 2), 14_850)],
     ids=["4-6-3", "6-6-2"],
 )
 def test_bn_rank_burn_passes_bounded(monkeypatch, params, bound):
     # a count, not a time: walking every root for every E took 48,128 passes
-    # on the (4,6,3) divisor and 105,756 on the five (6,6,2) divisors
+    # on the (4,6,3) divisor and 105,756 on the five (6,6,2) divisors;
+    # reducing each root check to the end took 14,142 and 36,368
     passes = _count_burn_passes(monkeypatch)
     for _, _, graph, chips in _tableau_rank_cases(params):
         assert bn_rank(graph, chips) == params.r
@@ -708,7 +798,7 @@ def test_bn_rank_burn_passes_bounded(monkeypatch, params, bound):
 
 
 def test_rho_zero_tableau_divisors_up_to_genus_five():
-    # (5,8,4) is left out of Tier-1: degree 8 on 51 vertices takes about 16 s
+    # (5,8,4) has a test of its own below
     checked = 0
     for params in sweep_params(5):
         if params.rho != 0 or params == BNParams(5, 8, 4):
@@ -717,3 +807,12 @@ def test_rho_zero_tableau_divisors_up_to_genus_five():
             assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == params.r
             checked += 1
     assert checked == 10
+
+
+def test_rho_zero_genus_five_degree_eight(monkeypatch):
+    # degree 8 on 51 vertices: 822,680 burn passes when each root check
+    # reduced to the end
+    passes = _count_burn_passes(monkeypatch)
+    [(geom, divisor, graph, chips)] = _tableau_rank_cases(BNParams(5, 8, 4))
+    assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == 4
+    assert passes[0] <= 346_829

@@ -1,3 +1,5 @@
+import pytest
+
 from bnchains import verify as vf
 from bnchains.tableaux import BNParams
 
@@ -7,6 +9,17 @@ def test_sweep_params_bounds():
     assert all(p.g <= 4 and p.rho >= 0 and p.kbar >= 0 for p in params)
     assert BNParams(4, 4, 1) in params
     assert BNParams(4, 2, 1) not in params  # rho = -2
+
+
+def test_sweep_cap_admits_the_default_sweep():
+    # the defaults of verify: 3 geometries, 60 winnability and 15 rank trials
+    for g_max in (6, 11):
+        vf._check_sweep_size(g_max, 3, 60, 15)
+    with pytest.raises(vf.VerifyTooLargeError):
+        vf._check_sweep_size(12, 3, 60, 15)
+    with pytest.raises(vf.VerifyTooLargeError):
+        vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP, 1)
+    vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP - 4, 1)
 
 
 def test_suite_passes_small():
