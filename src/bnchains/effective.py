@@ -176,11 +176,13 @@ def effective_to_eh(series: EffectiveSeries) -> EHSeries:
     if not verdict.valid or not verdict.refined:
         raise NotRefinedError(verdict.problem or "series is not refined")
     g = p.g
+    degrees, node_degrees = series.degrees, series.node_degrees
     bundles = []
     vanish_p = []
     vanish_q = []
+    # side_sums(series, j), kept as running sums
+    d_left, d_right = 0, sum(degrees[1:]) - sum(node_degrees)
     for j in range(1, g + 1):
-        d_left, d_right = side_sums(series, j)
         if d_left < 0 or d_right < 0:
             raise ValueError(
                 f"component {j}: negative leftover degree ({d_left}, {d_right})"
@@ -192,6 +194,11 @@ def effective_to_eh(series: EffectiveSeries) -> EHSeries:
             bundles.append(BundleClass.generic(j, p.d, tag=bundle.tag))
         vanish_p.append(series.w_p[j - 1].shifted(d_left))
         vanish_q.append(series.w_q[j - 1].shifted(d_right))
+        if j < g:
+            # C_j and then the node Q_j move to the left side, C_{j+1} off the right
+            a = node_degrees[j - 1]
+            d_left += degrees[j - 1] - a
+            d_right -= degrees[j] - a
     return EHSeries(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
 
 
@@ -204,10 +211,9 @@ def effective_vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:
     p = t.params
     if not 0 <= i <= p.g:
         raise ValueError(f"component index {i} outside 0..{p.g}")
-    tail = t.column_fill(i, p.r)
-    return VanishingSequence(
-        tuple(p.r - s + t.column_fill(i, s) - tail for s in range(p.k))
-    )
+    fills = t.column_fills
+    base = p.r - fills[p.r][i]
+    return VanishingSequence(tuple([base - s + col[i] for s, col in enumerate(fills)]))
 
 
 def effective_series_from_tableau(t: Tableau) -> EffectiveSeries:
@@ -259,7 +265,8 @@ def describe_concentration(t: Tableau) -> ConcentrationDescription:
     generic point when i is free.
     """
     p = t.params
-    u_r_1 = p.d - p.r - 1 + t.column_fill(1, p.r)
+    fills = t.column_fills
+    u_r_1 = p.d - p.r - 1 + fills[p.r][1]
     head = p.d - u_r_1 if p.g > 1 else p.d
     entries = []
     for i in range(2, p.g + 1):
@@ -270,7 +277,7 @@ def describe_concentration(t: Tableau) -> ConcentrationDescription:
         if s == p.r:
             entries.append(ConcentrationEntry(i, "trivial"))
             continue
-        c_q = p.r + t.column_fill(i, s) - s - t.column_fill(i, p.r)
+        c_q = p.r + fills[s][i] - s - fills[p.r][i]
         entries.append(ConcentrationEntry(i, "point", c_p=c_q - 1, c_q=c_q))
     return ConcentrationDescription(p, head, tuple(entries))
 

@@ -72,20 +72,40 @@ class BundleClass:
 
 @dataclass(frozen=True)
 class VanishingSequence:
-    """Strictly decreasing orders of vanishing, length r+1, last entry >= 0."""
+    """Strictly decreasing orders of vanishing, length r+1, last entry >= 0.
+
+    The constructor converts the entries to ``int`` and checks all three
+    conditions, for sequences from outside (a parsed file, a caller).  Orders
+    the library derives from a sequence it already holds go through
+    :meth:`_trusted`, which checks only the sign of the last entry:
+    :meth:`shifted` and the P-side of :func:`eh_series_from_tableau`.
+    """
 
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(v) for v in self.orders)
+        orders = tuple(map(int, self.orders))
         object.__setattr__(self, "orders", orders)
         if not orders:
             raise ValueError("vanishing sequence must be non-empty")
-        for x, y in zip(orders, orders[1:]):
-            if x <= y:
-                raise ValueError(f"orders not strictly decreasing: {orders}")
+        if orders != tuple(sorted(set(orders), reverse=True)):
+            raise ValueError(f"orders not strictly decreasing: {orders}")
         if orders[-1] < 0:
             raise ValueError(f"orders must be non-negative: {orders}")
+
+    @classmethod
+    def _trusted(cls, orders: tuple[int, ...]) -> "VanishingSequence":
+        """Build from a non-empty, strictly decreasing tuple of ints.
+
+        Only the sign of the last entry is checked: a shift or a reversed
+        complement of a valid sequence stays strictly decreasing but can
+        go below zero.
+        """
+        if orders[-1] < 0:
+            raise ValueError(f"orders must be non-negative: {orders}")
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "orders", orders)
+        return seq
 
     def __getitem__(self, t: int) -> int:
         return self.orders[t]
@@ -97,7 +117,8 @@ class VanishingSequence:
         return iter(self.orders)
 
     def shifted(self, delta: int) -> "VanishingSequence":
-        return VanishingSequence(tuple(v + delta for v in self.orders))
+        """Every order plus the integer ``delta``; ``ValueError`` if one falls below 0."""
+        return VanishingSequence._trusted(tuple([v + delta for v in self.orders]))
 
 
 @dataclass(frozen=True)
@@ -198,8 +219,9 @@ def vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:
     p = t.params
     if not 0 <= i <= p.g:
         raise ValueError(f"component index {i} outside 0..{p.g}")
+    base = p.d - i
     return VanishingSequence(
-        tuple(p.d - s - i + t.column_fill(i, s) for s in range(p.k))
+        tuple([base - s + col[i] for s, col in enumerate(t.column_fills)])
     )
 
 
@@ -215,7 +237,7 @@ def bundle_from_tableau(t: Tableau, i: int) -> BundleClass:
     if not t.is_placed(i):
         return BundleClass.generic(i, p.d)
     s = t.column_of(i)
-    a = s + i - t.column_fill(i, s)
+    a = s + i - t.column_fills[s][i]
     return BundleClass.special(i, p.d, a)
 
 
@@ -289,18 +311,21 @@ def eh_series_from_tableau(t: Tableau) -> EHSeries:
     """Assemble the full series encoded by a tableau.
 
     Q-side vanishing comes from the closed form; the P-side at component i is
-    forced by refinedness to (d - u_r(i-1), ..., d - u_0(i-1)).  The result is
-    always valid and refined.
+    forced by refinedness to (d - u_r(i-1), ..., d - u_0(i-1)), a reversed
+    complement of a checked sequence, so it is built unchecked but for its
+    sign.  The result is always valid and refined.
     """
     p = t.params
+    d = p.d
     bundles = []
     vanish_p = []
     vanish_q = []
     prev = vanishing_from_tableau(t, 0)
     for i in range(1, p.g + 1):
         here = vanishing_from_tableau(t, i)
-        r = p.r
-        vanish_p.append(VanishingSequence(tuple(p.d - prev[r - j] for j in range(r + 1))))
+        vanish_p.append(
+            VanishingSequence._trusted(tuple([d - v for v in reversed(prev.orders)]))
+        )
         vanish_q.append(here)
         bundles.append(bundle_from_tableau(t, i))
         prev = here

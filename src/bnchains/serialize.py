@@ -78,6 +78,21 @@ def tableau_to_obj(t: Tableau) -> dict:
     }
 
 
+def tableau_list_entry(t: Tableau) -> str:
+    """``tableau_to_obj(t)`` as ``json.dumps(records, indent=2)`` writes it in a list.
+
+    The same bytes, built straight from the tableau: the record's inner
+    lines carry the list's extra indent of two spaces, its first line none.
+    """
+    p = t.params
+    rows = ",".join(
+        ["\n      [\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
+         for row in t.rows]
+    )
+    rows = f"[{rows}\n    ]" if rows else "[]"
+    return f'{{\n    "g": {p.g},\n    "d": {p.d},\n    "r": {p.r},\n    "rows": {rows}\n  }}'
+
+
 def tableau_from_obj(obj: dict) -> Tableau:
     _check_object(obj, "tableau")
     params = _params(obj)
@@ -115,7 +130,7 @@ def _seq_to_list(seq: VanishingSequence) -> list[int]:
 
 
 def _seq_from_list(values, what: str) -> VanishingSequence:
-    return VanishingSequence(tuple(_int(v, what) for v in _list(values, what)))
+    return VanishingSequence(tuple([_int(v, what) for v in _list(values, what)]))
 
 
 def eh_series_to_obj(series: EHSeries) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 from typing import Iterator
 
@@ -91,9 +91,12 @@ class Tableau:
     """A filling of the ``k x kbar`` rectangle with indices from ``{1..g}``.
 
     ``rows`` lists the rows top to bottom; row ``m`` (1-indexed) and column
-    ``t`` (0-indexed) locate a cell.  Construction enforces the structural
-    shape (kbar rows of width k, distinct entries in range); monotonicity
+    ``t`` (0-indexed) locate a cell.  The constructor enforces the
+    structural shape (kbar rows of width k, distinct entries in range) on
+    every tableau built from outside, such as a parsed file; monotonicity
     along rows and columns is the job of :func:`validate_tableau`.
+    :func:`enumerate_tableaux` builds its tableaux valid by construction and
+    skips the constructor's checks.
     """
 
     params: BNParams
@@ -116,6 +119,14 @@ class Tableau:
             if not 1 <= v <= p.g:
                 raise ValueError(f"entry {v} outside 1..{p.g}")
 
+    @classmethod
+    def _trusted(cls, params: BNParams, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau from int rows already of the checked shape, built unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "params", params)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     @cached_property
     def _positions(self) -> dict[int, tuple[int, int]]:
         # index -> (column t in 0..k-1, row m in 1..kbar)
@@ -131,6 +142,18 @@ class Tableau:
             tuple(self.rows[m][t] for m in range(len(self.rows)))
             for t in range(self.params.k)
         )
+
+    @cached_property
+    def column_fills(self) -> tuple[tuple[int, ...], ...]:
+        """Prefix column counts: ``column_fills[s][i]`` is beta(i, s) for 0 <= i <= g."""
+        g = self.params.g
+        table = []
+        for col in self.columns:
+            marks = [0] * (g + 1)
+            for v in col:
+                marks[v] = 1
+            table.append(tuple(accumulate(marks)))
+        return tuple(table)
 
     @property
     def placed_indices(self) -> tuple[int, ...]:
@@ -155,11 +178,14 @@ class Tableau:
     def column_fill(self, i: int, s: int) -> int:
         """Number of placed indices ``j <= i`` lying in column ``s``.
 
-        This is the prefix column count beta(i, s); ``column_fill(0, s) == 0``.
+        This is the prefix column count beta(i, s) for an integer ``i``:
+        ``column_fill(0, s) == 0``, and ``i`` outside 0..g counts as the
+        nearest end.  A lookup in :attr:`column_fills`.
         """
-        if not 0 <= s < self.params.k:
-            raise ValueError(f"column {s} outside 0..{self.params.k - 1}")
-        return sum(1 for v in self.columns[s] if v <= i)
+        p = self.params
+        if not 0 <= s < p.k:
+            raise ValueError(f"column {s} outside 0..{p.k - 1}")
+        return self.column_fills[s][min(max(i, 0), p.g)]
 
 
 @dataclass(frozen=True)
@@ -251,17 +277,22 @@ def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
     signals an empty locus (``rho < 0`` or ``kbar < 0``).  The stream is lazy:
     the fillings are generated afresh for each free subset, so memory stays
     bounded by the rectangle however many tableaux there are.
+
+    The tableaux are valid by construction (shape, distinct entries in
+    range, increasing rows and columns), so they are built without the
+    :class:`Tableau` constructor's checks.
     """
     rho = params.rho
     if rho < 0 or params.kbar < 0:
         return
+    make = Tableau._trusted
     if params.kbar == 0:
-        yield Tableau(params, ())
+        yield make(params, ())
         return
     universe = range(1, params.g + 1)
     for free in combinations(universe, rho):
         free_set = set(free)
-        placed = [i for i in universe if i not in free_set]
+        # label[v]: the index placed in the cell that holds v in the filling
+        label = [0, *(i for i in universe if i not in free_set)].__getitem__
         for shape in _standard_fillings(params.k, params.kbar):
-            rows = tuple(tuple(placed[v - 1] for v in row) for row in shape)
-            yield Tableau(params, rows)
+            yield make(params, tuple([tuple(map(label, row)) for row in shape]))

@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bnchains import BNParams, enumerate_tableaux
+from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
 from bnchains import serialize as ser
-from bnchains.cli import _write_json_list, main
+from bnchains.cli import SERIES_CAP, _write_json_list, main
 
 from worked_example import tableau_662
 
@@ -71,10 +73,25 @@ def test_tableaux_list_json_matches_one_dump(capsys, g, d, r):
     assert out == json.dumps(objs, indent=2) + "\n"
 
 
+def test_tableaux_list_json_bytes_fixed(capsys):
+    # the 24,024 records of (16, 15, 3); digest taken when each batch of
+    # records was still a json.dumps(..., indent=2) of tableau_to_obj dicts
+    code, out, _ = run(
+        capsys, "tableaux", "--g", "16", "--d", "15", "--r", "3", "--list",
+        "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d1d1403c87d3e09ef9d2d63f3b508286d734c46ee011193fd6f241c92ac14f95"
+    )
+
+
 @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 256, 300])
 def test_json_list_writer_across_batches(capsys, n):
-    objs = [{"i": i, "rows": [[i, i + 1]]} for i in range(n)]
-    _write_json_list(iter(objs))
+    # (10, 9, 2) has 420 tableaux, with free indices
+    tableaux = list(islice(enumerate_tableaux(BNParams(10, 9, 2)), n))
+    _write_json_list(map(ser.tableau_list_entry, tableaux))
+    objs = [ser.tableau_to_obj(t) for t in tableaux]
     assert capsys.readouterr().out == json.dumps(objs, indent=2) + "\n"
 
 
@@ -124,6 +141,187 @@ def test_eh_and_effective_json_are_deterministic(capsys, tmp_path):
         first = run(capsys, *argv)
         assert first[0] == 0 and '"generic": "gen' in first[1]
         assert run(capsys, *argv) == first
+
+
+@pytest.mark.parametrize(
+    "which,command,digest",
+    [
+        ("662", "eh", "7084dfa2ff59c4c89516e06fe52ca2729ca163e986059a9089bedcd5227808db"),
+        ("662", "effective",
+         "9e0f5aa27c2ff28741d292340c0e86ff290a1010944facf2c75b8389d1534dec"),
+        ("541", "eh", "092a1079e31fa542ad75bd9d55f84dc2bee07a6583e73e3791b652e306e95cf1"),
+        ("541", "effective",
+         "db1ef399d5512f4b37fcad4c8a5222222579b6b73fb43312c7beef44f49da979"),
+    ],
+)
+def test_eh_and_effective_json_bytes_fixed(capsys, tmp_path, which, command, digest):
+    # the worked (6, 6, 2) tableau, and the first (5, 4, 1) tableau, whose
+    # index 1 is free; digests taken when every sequence was built checked
+    if which == "662":
+        t = tableau_662()
+    else:
+        t = next(iter(enumerate_tableaux(BNParams(5, 4, 1))))
+        assert t.free_indices == (1,)
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(ser.tableau_to_obj(t)))
+    code, out, _ = run(capsys, command, "--tableau", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _series_argvs(path):
+    return [
+        (command, "--tableau", str(path), "--format", fmt)
+        for command in ("eh", "effective")
+        for fmt in ("json", "table")
+    ]
+
+
+@pytest.mark.parametrize(
+    "g,r", [(SERIES_CAP + 1, 0), (100_000, 0), (10**9, 0), (1, 10**18), (101, 99)]
+)
+def test_eh_and_effective_refuse_series_over_the_cap(capsys, tmp_path, g, r):
+    # kbar = 0, so the tableau has no rows and the file stays tiny however
+    # large the series it encodes; g = 10**5 took 1.5 s and 247 MB uncapped
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps({"g": g, "d": g + r, "r": r, "rows": []}))
+    for argv in _series_argvs(path):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "more than the cap" in err and "Traceback" not in err
+
+
+def test_effective_from_eh_refuses_series_over_the_cap(capsys, tmp_path):
+    g = SERIES_CAP + 1
+    obj = {
+        "g": g,
+        "d": 0,
+        "r": 0,
+        "components": [
+            {"bundle": {"generic": "a"}, "vanish_P": [0], "vanish_Q": [0]}
+        ] * g,
+    }
+    path = tmp_path / "eh.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "effective", "--from-eh", str(path))
+    assert code == 2 and out == ""
+    assert "more than the cap" in err and "Traceback" not in err
+
+
+def test_series_cap_admits_a_series_at_the_cap(capsys, tmp_path):
+    g, r = 100, SERIES_CAP // 100 - 1
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps({"g": g, "d": g + r, "r": r, "rows": []}))
+    code, out, _ = run(capsys, "eh", "--tableau", str(path), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["components"]) == g
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(),
+    st.sampled_from([10**9, -(10**18), 2**64, 10**4000]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 2.0, 2.5, -1.0]),
+    st.text(max_size=4),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["g", "rows", "bundle", "aP", "x"]), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _fuzz_bases() -> list:
+    tableaux = [tableau_662(), next(iter(enumerate_tableaux(BNParams(5, 4, 1))))]
+    return [ser.tableau_to_obj(t) for t in tableaux] + [
+        ser.eh_series_to_obj(eh_series_from_tableau(t)) for t in tableaux
+    ]
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+
+def _paths(obj, prefix=()):
+    """The key path of every value nested inside a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _series_inputs(draw):
+    """A file text for eh / effective: a valid file with a few mutations, or raw text."""
+    kind = draw(st.sampled_from(["mutated"] * 4 + ["value", "deep", "digits", "large"]))
+    if kind == "value":
+        return json.dumps(draw(_JSON))
+    if kind == "large":
+        # kbar = 0: no rows, however large g and r are
+        g = draw(st.sampled_from([1, 2, SERIES_CAP, SERIES_CAP + 1, 10**9, 10**40]))
+        r = draw(st.sampled_from([0, 1, 98, 10**6, 10**40]))
+        return json.dumps({"g": g, "d": g + r, "r": r, "rows": []})
+    if kind == "deep":
+        depth = draw(st.sampled_from([10, 500, 900, 950, 990, 1000, 5000, 100_000]))
+        nested = draw(
+            st.sampled_from(["[" * depth + "]" * depth, '{"g":' * depth + "1" + "}" * depth])
+        )
+        template = draw(st.sampled_from([
+            "{}", '{{"g": 6, "d": 6, "r": 2, "rows": {}}}', '{{"g": {}, "d": 6, "r": 2, "rows": []}}'
+        ]))
+        return template.format(nested)
+    if kind == "digits":
+        digits = "1" + "0" * draw(st.sampled_from([4000, 5000]))  # the limit is 4300
+        return f'{{"g": {digits}, "d": 6, "r": 2, "rows": []}}'
+    obj = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        *head, key = path
+        parent = obj
+        for step in head:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "delete", "nudge"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "nudge" and type(parent[key]) is int:
+            parent[key] += draw(st.integers(-2, 2))
+        else:
+            parent[key] = draw(_JSON)
+        if not list(_paths(obj)):
+            break
+    return json.dumps(obj)
+
+
+@given(
+    text=_series_inputs(),
+    command=st.sampled_from(
+        [("eh", "--tableau"), ("effective", "--tableau"), ("effective", "--from-eh")]
+    ),
+    fmt=st.sampled_from(["json", "table"]),
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_series_commands_exit_cleanly_on_any_file(capsys, tmp_path, text, command, fmt):
+    # validation happens where a file is read; whatever it holds, eh and
+    # effective answer 0, 1 or 2 and never a traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *command, str(path), "--format", fmt)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_eh_rejects_invalid_tableau(capsys, tmp_path):

@@ -19,6 +19,7 @@ from bnchains import (
 )
 from bnchains.effective import EffectiveSeries, side_sums
 from bnchains.elliptic import EHSeries, VanishingSequence
+from bnchains.verify import sweep_params
 
 from worked_example import (
     CONCENTRATION_662,
@@ -245,3 +246,19 @@ def test_effective_w_matches_shifted_series(t):
 def test_concentration_total_degree(t):
     desc = describe_concentration(t)
     assert desc.total_degree == t.params.d
+
+
+def test_trusted_sequences_pass_the_constructor():
+    # shifted and the P-side of eh_series_from_tableau build their sequences
+    # unchecked but for the sign; each must pass the full check unchanged
+    for p in sweep_params(8):
+        for t in enumerate_tableaux(p):
+            series = eh_series_from_tableau(t)
+            eff = eh_to_effective(series)
+            back = effective_to_eh(eff)
+            assert back == series
+            for seq in (
+                *series.vanish_p, *series.vanish_q, *eff.w_p, *eff.w_q,
+                *back.vanish_p, *back.vanish_q,
+            ):
+                assert VanishingSequence(seq.orders) == seq

@@ -58,6 +58,63 @@ def test_vanishing_sequence_validation():
     assert seq(2, 1, 0).orders == (2, 1, 0)
 
 
+def _reference_vanishing_check(values) -> tuple[int, ...]:
+    """The constructor's checks as one loop, the form they had before."""
+    orders = tuple(int(v) for v in values)
+    if not orders:
+        raise ValueError("vanishing sequence must be non-empty")
+    for x, y in zip(orders, orders[1:]):
+        if x <= y:
+            raise ValueError(f"orders not strictly decreasing: {orders}")
+    if orders[-1] < 0:
+        raise ValueError(f"orders must be non-negative: {orders}")
+    return orders
+
+
+def _outcome(build, values):
+    try:
+        return build(values)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_order_entries = st.one_of(
+    st.integers(-3, 8),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-3, 8),
+    st.sampled_from(["2", "-1", "x", None]),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(_order_entries, max_size=6),
+        # mostly decreasing runs, so that accepted sequences are common too
+        st.lists(st.integers(-2, 3), max_size=6).map(
+            lambda steps: [sum(steps[i:]) for i in range(len(steps))]
+        ),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_vanishing_constructor_matches_the_loop_check(values, as_tuple):
+    values = tuple(values) if as_tuple else values
+    expected = _outcome(_reference_vanishing_check, values)
+    got = _outcome(lambda v: VanishingSequence(v).orders, values)
+    assert got == expected
+
+
+def test_shifted_below_zero_raises():
+    assert seq(3, 1, 0).shifted(2) == seq(5, 3, 2)
+    assert seq(5, 4, 2).shifted(-2) == seq(3, 2, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        seq(3, 1, 0).shifted(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        seq(5, 4, 2).shifted(-3)
+
+
 def test_check_vanishing_pair_examples():
     res = check_vanishing_pair(6, seq(3, 2, 0), seq(5, 3, 2))
     assert res.ok and res.equality_index is None

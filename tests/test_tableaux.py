@@ -16,6 +16,7 @@ from bnchains import (
     validate_tableau,
 )
 from bnchains.tableaux import _standard_fillings
+from bnchains.verify import sweep_params
 
 from worked_example import PARAMS_662, tableau_662
 
@@ -254,6 +255,26 @@ def test_column_fill_examples():
     assert all(t.column_fill(0, s) == 0 for s in range(3))
     assert t.column_fill(3, 2) == 0
     assert t.column_fill(6, 2) == 2
+
+
+def test_enumerated_tableaux_equal_checked_ones():
+    # enumerate_tableaux skips the constructor's checks; every tableau it
+    # yields must pass them and build an equal value; (2, 3, 1) has no rows
+    for p in sweep_params(8) + [BNParams(2, 3, 1)]:
+        for t in enumerate_tableaux(p):
+            assert Tableau(t.params, t.rows) == t
+            assert validate_tableau(t)
+
+
+def test_column_fill_matches_a_count():
+    for p in sweep_params(6) + [BNParams(2, 3, 1)]:
+        for t in enumerate_tableaux(p):
+            for s, column in enumerate(t.columns):
+                for i in range(-1, p.g + 2):
+                    assert t.column_fill(i, s) == sum(1 for v in column if v <= i)
+            for s in (-1, p.k):
+                with pytest.raises(ValueError):
+                    t.column_fill(1, s)
 
 
 def test_positions():
