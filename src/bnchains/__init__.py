@@ -18,7 +18,6 @@ from .effective import (
     EffectiveSeries,
     NotRefinedError,
     check_effective,
-    compare_vanishing,
     describe_concentration,
     effective_series_from_tableau,
     effective_to_eh,

@@ -10,8 +10,8 @@ Subcommands::
     verify     run the cross-model agreement suite
 
 Exit codes: 0 success, 1 validation failure (including malformed flags),
-2 oracle, tropical, series or verify sweep capacity exceeded, 3 internal
-disagreement found by verify.
+2 oracle, tropical, series or verify sweep capacity exceeded, or a tableau
+count too large, 3 internal disagreement found by verify.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ from .tropical import (
 from .verify import VerifyTooLargeError, run_suite
 
 
-# eh and effective refuse a series with more than this many vanishing orders
-# on a side, g * (r + 1); at the cap, effective --format json (g = 10**4,
-# r = 0) peaks at about 56 MB and writes 2.4 MB
+# eh, effective and tropical divisor refuse a series with more than this many
+# vanishing orders on a side, g * (r + 1), and tableaux --count a genus above
+# it; at the cap, effective --format json (g = 10**4, r = 0) peaks at about
+# 56 MB and writes 2.4 MB
 SERIES_CAP = 10_000
 
 
@@ -58,8 +59,8 @@ class CLIError(Exception):
     """Flag or input validation problem; maps to exit code 1."""
 
 
-class SeriesTooLargeError(RuntimeError):
-    """A series beyond :data:`SERIES_CAP`; maps to exit code 2."""
+class InputTooLargeError(RuntimeError):
+    """A series or genus beyond :data:`SERIES_CAP`, or a count too long to print; exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,10 +81,10 @@ def _emit(obj: dict) -> None:
 
 
 def _check_series_size(params: BNParams) -> None:
-    """Raise :class:`SeriesTooLargeError` if the series would pass :data:`SERIES_CAP`."""
+    """Raise :class:`InputTooLargeError` if the series would pass :data:`SERIES_CAP`."""
     size = params.g * (params.r + 1)
     if size > SERIES_CAP:
-        raise SeriesTooLargeError(
+        raise InputTooLargeError(
             f"a series of genus {params.g} and dimension {params.r} holds {size} "
             f"vanishing orders a side, more than the cap of {SERIES_CAP}"
         )
@@ -161,8 +162,17 @@ def cmd_tableaux(args) -> int:
             if not shown:
                 print("(empty locus)")
         return 0
+    if params.g > SERIES_CAP:
+        raise InputTooLargeError(f"genus {params.g} is above the cap of {SERIES_CAP}")
     count = count_components(params)
-    print(count)
+    try:
+        text = str(count)
+    except ValueError:  # past Python's limit on the digits of an int as text
+        digits = (count.bit_length() - 1) * 3 // 10  # 10**digits <= count, as 2**10 > 10**3
+        while 10**digits <= count:
+            digits += 1
+        raise InputTooLargeError(f"the count has {digits} digits, too many to print") from None
+    print(text)
     if params.kbar < 0:
         print(
             "note: kbar < 0, the expected locus is the whole Jacobian",
@@ -209,7 +219,7 @@ def cmd_effective(args) -> int:
 
 
 def cmd_tropical_divisor(args) -> int:
-    t = _load_tableau(args.tableau, args)
+    t = _load_tableau(args.tableau, args, series=True)
     geom = _load_geometry(args.geometry, args)
     divisor = divisor_from_tableau(t, geom, seed=args.seed)
     if args.format == "json":
@@ -382,7 +392,7 @@ def main(argv=None) -> int:
         return 0
     except (
         OracleTooLargeError,
-        SeriesTooLargeError,
+        InputTooLargeError,
         TropicalTooLargeError,
         VerifyTooLargeError,
     ) as exc:

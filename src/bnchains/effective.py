@@ -280,38 +280,3 @@ def describe_concentration(t: Tableau) -> ConcentrationDescription:
         c_q = p.r + fills[s][i] - s - fills[p.r][i]
         entries.append(ConcentrationEntry(i, "point", c_p=c_q - 1, c_q=c_q))
     return ConcentrationDescription(p, head, tuple(entries))
-
-
-@dataclass(frozen=True)
-class VanishingComparison:
-    agree: bool
-    mismatch: tuple[int, int] | None = None  # (component index i, order index s)
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.agree
-
-
-def compare_vanishing(t: Tableau, geom, seed: int = 0) -> VanishingComparison:
-    """Check that the effective and tropical vanishing tables agree.
-
-    Computes w via the closed form and u via the dynamic reduction of the
-    tableau divisor on ``geom`` (a chain-of-loops geometry), and compares
-    entry by entry over all i in 0..g and s in 0..r.
-    """
-    from .tropical import divisor_from_tableau, tropical_vanishing_table
-
-    p = t.params
-    divisor = divisor_from_tableau(t, geom, seed=seed)
-    table = tropical_vanishing_table(geom, divisor, p.r)
-    for i in range(p.g + 1):
-        closed = effective_vanishing_from_tableau(t, i)
-        dynamic = table.u[i]
-        for s in range(p.k):
-            if closed[s] != dynamic[s]:
-                return VanishingComparison(
-                    False,
-                    (i, s),
-                    f"at (i={i}, s={s}): closed form {closed[s]} vs dynamic {dynamic[s]}",
-                )
-    return VanishingComparison(True)

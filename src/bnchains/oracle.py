@@ -166,6 +166,14 @@ class ChipConfig:
         return f"ChipConfig({{{inside}}})"
 
 
+def _chip_list(graph: DiscreteGraph, config: ChipConfig) -> list[int]:
+    """The chip count of every vertex, as a list indexed by vertex."""
+    chips = [0] * graph.vertex_count
+    for v, c in config.items():
+        chips[v] = c
+    return chips
+
+
 def chips_from_divisor(graph: DiscreteGraph, divisor: TropicalDivisor) -> ChipConfig:
     """Place a marker-supported divisor on the model's vertices."""
     chips: dict[int, int] = {}
@@ -245,26 +253,18 @@ def _burn(adjacency, chips: list[int], q: int) -> tuple[list[int], list[int]]:
     return [v for v in range(n) if not burnt[v]], count
 
 
-def _reduce_in_place(adjacency, chips: list[int], q: int) -> None:
-    """Turn ``chips`` into its q-reduced form: settle debt, then fire until all burns."""
-    _settle_debt(adjacency, chips, q)
-    while True:
-        unburnt, count = _burn(adjacency, chips, q)
-        if not unburnt:
-            return
-        _fire_unburnt(adjacency, chips, q, unburnt, count)
-
-
 def _reaches(adjacency, chips: list[int], q: int, least: int) -> bool:
     """True iff a divisor equivalent to ``chips`` and effective away from q
     has at least ``least`` chips on q.
 
-    Runs the reduction of :func:`_reduce_in_place` only while q holds fewer
+    Settles debt, then burns and fires toward q only while q holds fewer
     than ``least`` chips.  After debt is settled every vertex but q is
     non-negative, and each later firing is legal and only adds chips to q,
     so once q holds ``least`` chips ``chips`` is such a divisor.  If the burn
     consumes everything first, ``chips`` is the q-reduced form, which has
     the most chips on q of all divisors effective away from q in the class.
+    With ``least`` above the degree, q never holds enough, so the reduction
+    runs to the q-reduced form.
     """
     _settle_debt(adjacency, chips, q)
     while chips[q] < least:
@@ -346,10 +346,8 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
     a metric graph.  Every step is a sequence of legal firings, so the answer
     is the unique q-reduced form.
     """
-    chips = [0] * graph.vertex_count
-    for v, c in config.items():
-        chips[v] = c
-    _reduce_in_place(graph.adjacency, chips, q)
+    chips = _chip_list(graph, config)
+    _reaches(graph.adjacency, chips, q, config.degree + 1)
     return ChipConfig({v: c for v, c in enumerate(chips) if c})
 
 
@@ -359,10 +357,7 @@ def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:
     The reduction toward q stops at the first equivalent effective divisor:
     once debt is settled, as soon as q is out of debt.
     """
-    chips = [0] * graph.vertex_count
-    for v, c in config.items():
-        chips[v] = c
-    return _reaches(graph.adjacency, chips, q, 0)
+    return _reaches(graph.adjacency, _chip_list(graph, config), q, 0)
 
 
 def _dfs_order(adjacency, q: int) -> list[int]:
@@ -408,9 +403,7 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     adjacency = graph.adjacency
     n = graph.vertex_count
     q = 0
-    effective = [0] * n
-    for v, c in config.items():
-        effective[v] = c
+    effective = _chip_list(graph, config)
     if not _reaches(adjacency, effective, q, 0):
         return -1
     walk = _dfs_order(adjacency, q)

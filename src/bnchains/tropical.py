@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Union
 
 from .elliptic import VanishingSequence
@@ -456,13 +456,26 @@ def _sample_generic_point(
     ell, c, n = _scale(*geom.lengths[k - 1])
     # in units of 1/n the special coordinates are (u + 1) * l mod c, and the
     # candidate c * j / 1009 is one of them only if 1009 divides c * j
-    avoid = {(u + 1) * ell % c for u in range(d + 1)}
     for _ in range(_SAMPLE_RETRIES):
         j = rng.randrange(1, _SAMPLE_DENOMINATOR)
         coord, rest = divmod(c * j, _SAMPLE_DENOMINATOR)
-        if rest or coord not in avoid:
+        if rest or not _is_special(ell, c, d, coord):
             return Interior(k, Fraction(c * j, n * _SAMPLE_DENOMINATOR))
     raise SamplingError(f"loop {k}: could not sample a generic point")
+
+
+def _is_special(ell: int, c: int, d: int, x: int) -> bool:
+    """Is x = (u + 1) * ell mod c for some u in 0..d?  Constant time in d.
+
+    With h = gcd(ell, c), x is a multiple (u + 1) * ell mod c iff h divides
+    x, and then u + 1 = (x / h) * (ell / h)^-1 modulo c / h; the least such
+    u >= 0 is that residue less one, taken modulo c / h.
+    """
+    h = gcd(ell, c)
+    if x % h:
+        return False
+    m = c // h
+    return ((x // h) * pow(ell // h, -1, m) - 1) % m <= d
 
 
 def _least_carries(

@@ -5,8 +5,11 @@ tableau, checks the combinatorial counts, the node identities of the
 concentrated series, the effective round trip, and the agreement of the three
 vanishing tables (closed form, effective, dynamic tropical) on randomized
 generic geometries.  A budgeted slice of randomized divisors is additionally
-cross-checked against the chip-firing oracle.  Failures carry a JSON
-reproducer so any disagreement can be replayed in isolation.
+cross-checked against the chip-firing oracle.  Every failure carries a JSON
+reproducer that is exactly the failed check's input: the tableau, plus the
+geometry and seed for a check on a geometry, which
+``_tableau_failure(tableau, [geometry], seed)`` replays; the parameter
+triple of a component count; the geometry and divisor of an oracle trial.
 """
 
 from __future__ import annotations
@@ -116,11 +119,10 @@ def random_generic_geometry(g: int, rng: random.Random) -> ChainGeometry:
             return geom
 
 
-def _tableau_repro(t: Tableau, geom: ChainGeometry | None = None, seed: int | None = None) -> dict:
+def _tableau_repro(t: Tableau, geom: ChainGeometry | None, seed: int) -> dict:
     repro: dict = {"tableau": serialize.tableau_to_obj(t)}
     if geom is not None:
         repro["geometry"] = serialize.geometry_to_obj(geom)
-    if seed is not None:
         repro["seed"] = seed
     return repro
 
@@ -132,7 +134,6 @@ def run_suite(
     oracle_winnability_trials: int = 60,
     oracle_rank_trials: int = 15,
     subdiv_cap: int = 100_000,
-    rank_certification_g_max: int = 6,
 ) -> SuiteResult:
     _check_sweep_size(
         g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
@@ -156,96 +157,80 @@ def run_suite(
             continue
         geoms = [random_generic_geometry(params.g, rng) for _ in range(geometries_per_param)]
         for t in tableaux:
-            failure = _check_tableau(t, geoms, seed, result, rank_certification_g_max)
+            result.checks_run += 1
+            failure = _tableau_failure(t, geoms, seed)
             if failure is not None:
-                result.failures.append(failure)
+                check, detail, geom = failure
+                result.failures.append(
+                    VerifyFailure(check, detail, _tableau_repro(t, geom, seed))
+                )
 
-    _oracle_slice(
-        result,
-        rng,
-        g_max,
-        oracle_winnability_trials,
-        oracle_rank_trials,
-        subdiv_cap,
+    oracle_trials = _oracle_trials(
+        rng, g_max, oracle_winnability_trials, oracle_rank_trials, subdiv_cap
     )
+    for check, geom, divisor, tropical_side, oracle_side in oracle_trials:
+        result.checks_run += 1
+        if tropical_side != oracle_side:
+            repro = {
+                "geometry": serialize.geometry_to_obj(geom),
+                "divisor": serialize.divisor_to_obj(divisor),
+            }
+            detail = f"tropical {tropical_side} vs oracle {oracle_side}"
+            result.failures.append(VerifyFailure(check, detail, repro))
     return result
 
 
-def _check_tableau(
-    t: Tableau,
-    geoms: list[ChainGeometry],
-    seed: int,
-    result: SuiteResult,
-    rank_certification_g_max: int,
-) -> VerifyFailure | None:
+def _tableau_failure(
+    t: Tableau, geoms: list[ChainGeometry], seed: int
+) -> tuple[str, str, ChainGeometry | None] | None:
+    """The first failing check of a tableau as ``(check, detail, geometry)``, else None.
+
+    ``geometry`` is the one the check failed on, or None for the checks that
+    use no geometry.
+    """
     params = t.params
-    result.checks_run += 1
     if not validate_tableau(t).ok:
-        return VerifyFailure("tableau validity", f"{t}", _tableau_repro(t))
+        return "tableau validity", f"{t}", None
 
     series = eh_series_from_tableau(t)
     verdict = check_eh_series(series)
     if not (verdict.valid and verdict.refined):
-        return VerifyFailure(
-            "series validity", verdict.problem or "not refined", _tableau_repro(t)
-        )
+        return "series validity", verdict.problem or "not refined", None
 
     effective = eh_to_effective(series)
     everdict = check_effective(effective)
     if not (everdict.valid and everdict.refined):
-        return VerifyFailure(
-            "effective validity", everdict.problem or "not refined", _tableau_repro(t)
-        )
+        return "effective validity", everdict.problem or "not refined", None
     if effective_to_eh(effective) != series:
-        return VerifyFailure("round trip", "effective_to_eh changed the series", _tableau_repro(t))
-    for i in range(params.g + 1):
-        closed = effective_vanishing_from_tableau(t, i)
-        if closed[params.r] != 0:
-            return VerifyFailure(
-                "effective table", f"w_r({i}) != 0", _tableau_repro(t)
-            )
+        return "round trip", "effective_to_eh changed the series", None
+    closed = [effective_vanishing_from_tableau(t, i) for i in range(params.g + 1)]
+    for i, orders in enumerate(closed):
+        if orders[params.r] != 0:
+            return "effective table", f"w_r({i}) != 0", None
 
     for geom in geoms:
         divisor = divisor_from_tableau(t, geom, seed=seed)
         if divisor.degree != params.d:
-            return VerifyFailure(
-                "divisor degree",
-                f"degree {divisor.degree} != {params.d}",
-                _tableau_repro(t, geom, seed),
-            )
+            return "divisor degree", f"degree {divisor.degree} != {params.d}", geom
         try:
             table = tropical_vanishing_table(geom, divisor, params.r)
         except Exception as exc:  # rank deficiency or ambiguity is a failure here
-            return VerifyFailure(
-                "dynamic table", repr(exc), _tableau_repro(t, geom, seed)
-            )
+            return "dynamic table", repr(exc), geom
         # the table's seed row, epsilon and x are reduce_to_q0's output
         rebuilt = [(Node(0), table.u[0][0])]
         rebuilt.extend((x, 1) for eps, x in zip(table.epsilon, table.x) if eps)
         residue = reduce_to_q0(geom, divisor - TropicalDivisor(tuple(rebuilt)))
         if residue.u != 0 or any(residue.epsilon):
-            return VerifyFailure(
-                "reduction soundness",
-                "reduced representative not equivalent to the divisor",
-                _tableau_repro(t, geom, seed),
-            )
-        for i in range(params.g + 1):
-            closed = effective_vanishing_from_tableau(t, i)
+            detail = "reduced representative not equivalent to the divisor"
+            return "reduction soundness", detail, geom
+        for i, orders in enumerate(closed):
             for s in range(params.k):
-                if table.u[i][s] != closed[s]:
-                    return VerifyFailure(
-                        "table agreement",
-                        f"(i={i}, s={s}): dynamic {table.u[i][s]} vs closed {closed[s]}",
-                        _tableau_repro(t, geom, seed),
-                    )
-        if params.g <= rank_certification_g_max:
-            rank = tropical_rank(geom, divisor)
-            if rank != params.r:
-                return VerifyFailure(
-                    "rank certification",
-                    f"rank {rank} != {params.r}",
-                    _tableau_repro(t, geom, seed),
-                )
+                if table.u[i][s] != orders[s]:
+                    detail = f"(i={i}, s={s}): dynamic {table.u[i][s]} vs closed {orders[s]}"
+                    return "table agreement", detail, geom
+        rank = tropical_rank(geom, divisor)
+        if rank != params.r:
+            return "rank certification", f"rank {rank} != {params.r}", geom
     return None
 
 
@@ -286,14 +271,14 @@ def _small_geometry(g: int, rng: random.Random, generic: bool) -> ChainGeometry:
     return ChainGeometry(tuple(lengths))
 
 
-def _oracle_slice(
-    result: SuiteResult,
+def _oracle_trials(
     rng: random.Random,
     g_max: int,
     winnability_trials: int,
     rank_trials: int,
     subdiv_cap: int,
-) -> None:
+):
+    """Per oracle trial, ``(check, geometry, divisor, tropical answer, oracle answer)``."""
     g_cap = min(g_max, 4)
     done = 0
     while done < winnability_trials:
@@ -303,21 +288,10 @@ def _oracle_slice(
         if not -6 <= divisor.degree <= 6:
             continue
         done += 1
-        result.checks_run += 1
         tropical_side = is_equivalent_to_effective(geom, divisor)
         graph = subdivide_chain(geom, [pt for pt, _ in divisor.points], subdiv_cap)
         oracle_side = is_winnable(graph, chips_from_divisor(graph, divisor), 0)
-        if tropical_side != oracle_side:
-            result.failures.append(
-                VerifyFailure(
-                    "winnability agreement",
-                    f"tropical {tropical_side} vs oracle {oracle_side}",
-                    {
-                        "geometry": serialize.geometry_to_obj(geom),
-                        "divisor": serialize.divisor_to_obj(divisor),
-                    },
-                )
-            )
+        yield "winnability agreement", geom, divisor, tropical_side, oracle_side
     done = 0
     while done < rank_trials:
         g = rng.randrange(1, g_cap + 1)
@@ -329,18 +303,7 @@ def _oracle_slice(
         if divisor.degree > min(4, g + 2):
             continue
         done += 1
-        result.checks_run += 1
-        tr = tropical_rank(geom, divisor)
+        tropical_side = tropical_rank(geom, divisor)
         graph = subdivide_chain(geom, [pt for pt, _ in divisor.points], subdiv_cap)
-        br = bn_rank(graph, chips_from_divisor(graph, divisor))
-        if tr != br:
-            result.failures.append(
-                VerifyFailure(
-                    "rank agreement",
-                    f"tropical {tr} vs oracle {br}",
-                    {
-                        "geometry": serialize.geometry_to_obj(geom),
-                        "divisor": serialize.divisor_to_obj(divisor),
-                    },
-                )
-            )
+        oracle_side = bn_rank(graph, chips_from_divisor(graph, divisor))
+        yield "rank agreement", geom, divisor, tropical_side, oracle_side

@@ -613,6 +613,67 @@ def test_tropical_divisor_sampling_failure_exits_one(capsys, tmp_path):
     assert "could not sample" in err and "Traceback" not in err
 
 
+def _tropical_divisor_run(capsys, tmp_path, tableau_obj):
+    tab_path = tmp_path / "tableau.json"
+    tab_path.write_text(json.dumps(tableau_obj))
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps({"g": 1, "loops": [{"l": "3/1", "m": "1/1"}]}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "tropical", "divisor", "--tableau", str(tab_path),
+        "--geometry", str(geom_path), "--format", "json",
+    )
+    return time.perf_counter() - start, code, out, err
+
+
+def test_tropical_divisor_samples_in_time_independent_of_d(capsys, tmp_path):
+    # a free loop is checked against u = 0..d without listing the d + 1 residues
+    elapsed, code, out, _ = _tropical_divisor_run(
+        capsys, tmp_path, {"g": 1, "d": 10**12, "r": 0, "rows": []}
+    )
+    assert elapsed < 1.0
+    assert code == 0
+    (point,) = json.loads(out)["points"]
+    assert point["loop"] == 1
+
+
+def test_tropical_divisor_refuses_series_over_the_cap(capsys, tmp_path):
+    elapsed, code, out, err = _tropical_divisor_run(
+        capsys, tmp_path, {"g": 1, "d": 10**18 + 1, "r": 10**18, "rows": []}
+    )
+    assert elapsed < 1.0
+    assert code == 2 and out == ""
+    assert "more than the cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "g,d,r,message",
+    [
+        (SERIES_CAP + 1, SERIES_CAP // 2, 0, "above the cap"),
+        (200_000, 100_000, 0, "above the cap"),
+        (10**4, 9999, 99, "has 16154 digits"),
+    ],
+    ids=["genus-over-cap", "genus-200000", "count-16154-digits"],
+)
+def test_tableaux_count_refuses_counts_too_large(capsys, g, d, r, message):
+    # above the genus cap the hook product is never started; (10^4, 9999, 99)
+    # is within it, but its count passes Python's 4,300-digit limit on int text
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tableaux", "--g", str(g), "--d", str(d), "--r", str(r))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_tableaux_count_at_the_genus_cap(capsys):
+    # comb(10^4, 5 * 10^3) has 3,009 digits
+    code, out, _ = run(
+        capsys, "tableaux", "--g", str(SERIES_CAP), "--d", str(SERIES_CAP // 2), "--r", "0"
+    )
+    assert code == 0
+    assert len(out.strip()) == 3_009
+
+
 def test_verify_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--g-max", "3", "--seed", "0",

@@ -8,14 +8,15 @@ from bnchains import (
     ChainGeometry,
     NotRefinedError,
     check_effective,
-    compare_vanishing,
     describe_concentration,
+    divisor_from_tableau,
     effective_series_from_tableau,
     effective_to_eh,
     effective_vanishing_from_tableau,
     eh_series_from_tableau,
     eh_to_effective,
     enumerate_tableaux,
+    tropical_vanishing_table,
 )
 from bnchains.effective import EffectiveSeries, side_sums
 from bnchains.elliptic import EHSeries, VanishingSequence
@@ -168,22 +169,22 @@ def test_describe_concentration_single_component():
     assert desc.entries == ()
 
 
-def test_compare_vanishing_worked_example():
-    geom = ChainGeometry(tuple((Fraction(10 + k), Fraction(1)) for k in range(6)))
-    assert compare_vanishing(tableau_662(), geom).agree
-
-
-def test_compare_vanishing_smallest_chain():
-    p = BNParams(1, 1, 0)
-    (t,) = enumerate_tableaux(p)
-    geom = ChainGeometry(((Fraction(3), Fraction(1)),))
-    assert compare_vanishing(t, geom).agree
-
-
-def test_compare_vanishing_all_662_tableaux():
-    geom = ChainGeometry(tuple((Fraction(10 + k), Fraction(1)) for k in range(6)))
-    for t in enumerate_tableaux(PARAMS_662):
-        assert compare_vanishing(t, geom).agree
+@pytest.mark.parametrize(
+    "tableaux,lengths",
+    [
+        ([tableau_662()], [(10 + k, 1) for k in range(6)]),
+        (list(enumerate_tableaux(PARAMS_662)), [(10 + k, 1) for k in range(6)]),
+        (list(enumerate_tableaux(BNParams(1, 1, 0))), [(3, 1)]),
+    ],
+    ids=["worked-example", "all-662", "smallest-chain"],
+)
+def test_tropical_table_matches_closed_form(tableaux, lengths):
+    # the dynamic tropical table of each tableau divisor is the closed-form w
+    geom = ChainGeometry(tuple((Fraction(l), Fraction(m)) for l, m in lengths))
+    for t in tableaux:
+        table = tropical_vanishing_table(geom, divisor_from_tableau(t, geom), t.params.r)
+        for i in range(t.params.g + 1):
+            assert list(table.u[i]) == list(effective_vanishing_from_tableau(t, i).orders)
 
 
 def params_strategy(max_g=6):

@@ -33,10 +33,16 @@ from bnchains.oracle import (
     _bfs_distances,
     _dfs_order,
     _reaches,
-    _reduce_in_place,
     _settle_debt,
 )
 from bnchains.verify import run_suite, sweep_params
+
+
+def _reduce_in_place(adjacency, chips, q):
+    """Turn ``chips`` into its q-reduced form, through the public ``dhar_reduce``."""
+    graph = DiscreteGraph(tuple(adjacency), (q,), {}, 1)
+    reduced = dhar_reduce(graph, ChipConfig(dict(enumerate(chips))), q)
+    chips[:] = [reduced[v] for v in range(len(chips))]
 
 
 def cycle_graph(l=13, m=1):

@@ -27,7 +27,7 @@ from bnchains import (
     tropical_rank,
     tropical_vanishing_table,
 )
-from bnchains.tropical import _MAX_SWEEP_WIDTH, _loop_step, _split
+from bnchains.tropical import _MAX_SWEEP_WIDTH, _is_special, _loop_step, _split
 
 from worked_example import (
     PARAMS_662,
@@ -289,6 +289,18 @@ def test_divisor_from_tableau_generic_sampling_deterministic():
     l = geom.ell(free)
     specials = {((u + 1) * l) % c for u in range(p.d + 1)}
     assert x.coord not in specials and x.coord not in (F(0), l)
+
+
+def test_is_special_matches_the_set_of_special_residues():
+    # reference: list the d + 1 special residues (u + 1) * l mod c
+    rng = random.Random(11)
+    for _ in range(3_000):
+        c = rng.randrange(2, 200)
+        ell = rng.randrange(1, c)
+        d = rng.choice([0, 1, 2, rng.randrange(0, 3 * c)])
+        x = rng.randrange(0, c)
+        specials = {(u + 1) * ell % c for u in range(d + 1)}
+        assert _is_special(ell, c, d, x) == (x in specials), (ell, c, d, x)
 
 
 def test_rank_examples_on_circle():

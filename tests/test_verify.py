@@ -1,7 +1,8 @@
 import pytest
 
+from bnchains import serialize
 from bnchains import verify as vf
-from bnchains.tableaux import BNParams
+from bnchains.tableaux import BNParams, count_components
 
 
 def test_sweep_params_bounds():
@@ -64,22 +65,38 @@ def test_suite_detects_tampered_closed_form(monkeypatch):
 
 
 def test_suite_detects_wrong_rank(monkeypatch):
-    import inspect
-
-    # the default certifies every genus of the default verify --g-max 6
-    assert inspect.signature(vf.run_suite).parameters["rank_certification_g_max"].default == 6
+    # rank is certified at every genus, past the default verify --g-max 6
     original = vf.tropical_rank
-    monkeypatch.setattr(vf, "tropical_rank", lambda geom, divisor: original(geom, divisor) + 1)
+    monkeypatch.setattr(
+        vf, "tropical_rank", lambda geom, divisor: original(geom, divisor) + (geom.g == 7)
+    )
     result = vf.run_suite(
-        g_max=2,
+        g_max=7,
         seed=1,
         geometries_per_param=1,
         oracle_winnability_trials=0,
         oracle_rank_trials=0,
     )
-    assert not result.passed
     assert {f.check for f in result.failures} == {"rank certification"}
-    assert all("tableau" in f.reproducer for f in result.failures)
+    g7 = [p for p in vf.sweep_params(7) if p.g == 7]
+    assert len(result.failures) == sum(count_components(p) for p in g7)
+    for failure in result.failures:
+        repro = failure.reproducer
+        assert repro["tableau"]["g"] == 7
+        assert set(repro) == {"tableau", "geometry", "seed"}
+    # the reproducer is the check's input: one call replays the failure
+    t = serialize.tableau_from_obj(repro["tableau"])
+    geom = serialize.geometry_from_obj(repro["geometry"])
+    check, detail, _ = vf._tableau_failure(t, [geom], repro["seed"])
+    assert (check, detail) == (failure.check, failure.detail)
+
+
+def test_suite_passes_at_genus_8():
+    # every check up to genus 8, rank certification included, with the defaults
+    result = vf.run_suite(8, 0)
+    assert result.passed, result.failures
+    assert result.checks_run == 1_848
+    assert result.checks_run == 75 + sum(1 + count_components(p) for p in vf.sweep_params(8))
 
 
 def test_random_generic_geometry_is_generic():
