@@ -10,8 +10,9 @@ Subcommands::
     verify     run the cross-model agreement suite
 
 Exit codes: 0 success, 1 validation failure (including malformed flags),
-2 oracle, tropical, series or verify sweep capacity exceeded, or a tableau
-count too large, 3 internal disagreement found by verify.
+2 oracle, tropical, series, verify sweep or verify rank-trial capacity
+exceeded, or a tableau count too large, 3 internal disagreement found by
+verify.
 """
 
 from __future__ import annotations

@@ -4,22 +4,23 @@ This is the safety net for the exact-rational machinery: the metric chain is
 scaled by the least common multiple of all denominators so that every landmark
 (node or registered divisor point) is a vertex of a finite multigraph with
 unit edges, and then winnability and Baker-Norine rank are computed purely
-graph-side with Dhar's burning algorithm.  Most vertices of the subdivision
-have degree 2, so when a firing sends chips only into paths of such vertices,
-they move along the paths by a whole distance in one step, as in Dhar's
-burning on a metric graph; each step is a sequence of legal firings, so
-every reduced form is the one unit steps give.  Rank uses the criterion of
-Baker and Norine: rank >= r iff D - F is winnable for every effective F of
-degree r.  With the vertices numbered in depth-first order, each F is split
-once as F = E + w, w at or after the last vertex of E, and D - F is winnable
-iff some effective divisor equivalent to D - E has a chip on w.  Each such
-check, and each winnability test, runs the reduction toward its root only
-until it reaches such a divisor, and reduces to the end only when the answer
-is no.  For each E the root walks that suffix of vertices, each check
-starting from the divisor the previous one left, and the first check of
-D - E starts from the divisor the previous E's first check left plus
-E_prev - E.  E and w range over all vertices, not only the nodes.  Nothing
-here shares logic with the loop-class arithmetic it cross-checks.
+graph-side with Dhar's burning algorithm.  A pass burns from the root and
+fires the unburnt set across the boundary of the burnt set, touching only
+the burnt set and that boundary.  Most vertices have degree 2, so when the
+firing sends chips only into paths of such vertices, they move along the
+paths by a whole distance in one step, as on a metric graph; each step is a
+sequence of legal firings, so every reduced form is the one unit steps give.
+Rank uses the criterion of Baker and Norine: rank >= r iff D - F is winnable
+for every effective F of degree r.  With the vertices numbered in depth-first
+order, each F is split once as F = E + w, w at or after the last vertex of
+E, and D - F is winnable iff some effective divisor equivalent to D - E has
+a chip on w.  Each such check, and each winnability test, reduces toward its
+root only until it reaches such a divisor, and to the end only when the
+answer is no.  For each E the root walks that suffix of vertices, each check
+starting from the divisor the previous one left; the first check of D - E
+starts from the divisor the previous E's first check left plus E_prev - E.
+E and w range over all vertices, not only the nodes.  Nothing here shares
+logic with the loop-class arithmetic it cross-checks.
 """
 
 from __future__ import annotations
@@ -229,28 +230,30 @@ def _settle_debt(adjacency, chips: list[int], q: int) -> None:
                     chips[w] += times
 
 
-def _burn(adjacency, chips: list[int], q: int) -> tuple[list[int], list[int]]:
-    """One pass of Dhar's burning from q.
+def _burn(adjacency, chips: list[int], q: int) -> tuple[dict[int, int], list[bool]]:
+    """One pass of Dhar's burning from q, over the burnt set and its boundary.
 
-    Returns the unburnt vertices and, per vertex, the number of edges into the
-    burnt set (the out-degree of the unburnt set along which it can fire).
+    Returns the boundary, each unburnt vertex with an edge into the burnt set
+    mapped to the number of such edges, and the burnt flags.  The graphs are
+    connected, so an empty boundary means everything burnt.
     """
-    n = len(adjacency)
-    burnt = [False] * n
+    burnt = [False] * len(adjacency)
     burnt[q] = True
-    count = [0] * n
+    boundary: dict[int, int] = {}
     stack = [q]
     while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if not burnt[w]:
-                count[w] += 1
-                if count[w] > chips[w]:
-                    burnt[w] = True
-                    stack.append(w)
-    if False not in burnt:
-        return [], count
-    return [v for v in range(n) if not burnt[v]], count
+        for w in adjacency[stack.pop()]:
+            if burnt[w]:
+                continue
+            if chips[w] > 0:  # a chipless vertex burns at its first edge
+                edges = boundary.get(w, 0) + 1
+                if edges <= chips[w]:
+                    boundary[w] = edges
+                    continue
+                del boundary[w]
+            burnt[w] = True
+            stack.append(w)
+    return boundary, burnt
 
 
 def _reaches(adjacency, chips: list[int], q: int, least: int) -> bool:
@@ -268,58 +271,52 @@ def _reaches(adjacency, chips: list[int], q: int, least: int) -> bool:
     """
     _settle_debt(adjacency, chips, q)
     while chips[q] < least:
-        unburnt, count = _burn(adjacency, chips, q)
-        if not unburnt:
+        boundary, burnt = _burn(adjacency, chips, q)
+        if not boundary:
             return False
-        _fire_unburnt(adjacency, chips, q, unburnt, count)
+        _fire_unburnt(adjacency, chips, q, boundary, burnt)
     return True
 
 
-def _fire_unburnt(adjacency, chips: list[int], q: int, unburnt, count) -> None:
+def _fire_unburnt(adjacency, chips: list[int], q: int, boundary, burnt) -> None:
     """Fire the unburnt set U of one burn as often as it can, by distance.
 
-    U fires as often as every vertex of U can afford at once.  If every edge
-    out of U enters a vertex of degree 2 other than q, each such edge starts
-    a path of burnt degree-2 vertices, and the bundle just fired into each
-    path moves on by t steps: t is the shortest walk from U to q or to a
-    vertex of degree other than 2.  Each path vertex was burnt from its far
-    side alone (its near side burnt later or not at all), so it holds no
-    chips, and no walk turns back into U or meets another.  Moving the
-    bundles t steps is then firing U plus the first j vertices of every path
-    for j = 1..t-1, each a legal firing that sends exactly the bundles one
-    edge on.  Legal firings keep the configuration equivalent and
-    non-negative away from q, and the q-reduced form is unique, so a
-    reduction made of these steps ends where unit steps end.
+    A chip leaving U crosses a boundary edge, and U off the boundary does not
+    change, so only the boundary and its edges are touched.  U fires as often
+    as every boundary vertex can afford.  If every boundary edge enters a
+    vertex of degree 2 other than q, it starts a path of burnt degree-2
+    vertices, and the bundle fired into each path moves on by t steps: t is
+    the shortest walk from U to q or to a vertex of degree other than 2.
+    Each path vertex was burnt from its far side alone, so it holds no chips,
+    and no walk turns back into U or meets another.  Moving the bundles t
+    steps is firing U plus the first j vertices of every path for j = 1..t-1,
+    each a legal firing that sends exactly the bundles one edge on.  Legal
+    firings keep the class and keep it non-negative away from q, and the
+    q-reduced form is unique, so these steps end where unit steps end.
     """
-    times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
-    unburnt_flags = [False] * len(adjacency)
-    for v in unburnt:
-        unburnt_flags[v] = True
+    times = min(chips[v] // edges for v, edges in boundary.items())
+    behind = []
+    ahead = []
     along_paths = True
-    for v in unburnt:
+    for v, edges in boundary.items():
+        chips[v] -= times * edges
         for w in adjacency[v]:
-            if not unburnt_flags[w]:
+            if burnt[w]:
+                chips[w] += times
+                behind.append(v)
+                ahead.append(w)
                 if along_paths and (w == q or len(adjacency[w]) != 2):
                     along_paths = False
-                chips[v] -= times
-                chips[w] += times
     if along_paths:
-        _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times)
+        _carry_along_paths(adjacency, chips, q, behind, ahead, times)
 
 
-def _carry_along_paths(adjacency, chips, q, unburnt, unburnt_flags, times) -> None:
-    """Move the bundle on each path out of U until the first walk stops.
+def _carry_along_paths(adjacency, chips, q, behind, ahead, times) -> None:
+    """Move the bundle on each boundary edge, behind to ahead, until a walk stops.
 
     All walks step in lockstep from the path's first vertex and stop together
     as soon as one reaches q or a vertex of degree other than 2.
     """
-    behind = []
-    ahead = []
-    for v in unburnt:
-        for w in adjacency[v]:
-            if not unburnt_flags[w]:
-                behind.append(v)
-                ahead.append(w)
     starts = list(ahead)
     moving = True
     while moving:
@@ -340,11 +337,9 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
 
     Non-negative away from q, and no non-empty vertex set avoiding q can fire
     without sending some vertex negative.  Computed by settling debt and then
-    iterating Dhar's burning, firing each unburnt set in one batch; where the
-    unburnt set borders only chipless paths of degree-2 vertices, the fired
-    chips run along them to the nearest branch vertex or q in one step, as on
-    a metric graph.  Every step is a sequence of legal firings, so the answer
-    is the unique q-reduced form.
+    burning and firing (:func:`_fire_unburnt`) until everything burns; every
+    step is a sequence of legal firings, so the answer is the unique q-reduced
+    form.
     """
     chips = _chip_list(graph, config)
     _reaches(graph.adjacency, chips, q, config.degree + 1)

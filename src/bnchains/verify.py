@@ -59,14 +59,20 @@ class SuiteResult:
 
 
 # Units of work a suite may sweep: one per tableau on one geometry and one
-# per oracle trial.  ``verify --g-max 6`` with the defaults sweeps 969 and
-# ``--g-max 11`` 82,938; the tableaux grow about threefold with each genus,
-# so ``--g-max 12`` (227,697) is refused.
+# per winnability trial.  ``verify --g-max 6`` with the defaults sweeps 954
+# and ``--g-max 11`` 82,923; the tableaux grow about threefold with each
+# genus, so ``--g-max 12`` (227,682) is refused.
 SWEEP_WORK_CAP = 100_000
+
+# Oracle rank trials are capped apart from the sweep: each is an exhaustive
+# ``bn_rank``, on average 0.25 ms at ``--g-max 1`` and 0.55 ms at ``--g-max
+# 4``, where the trials stop growing (2-core machine, Python 3.11), so the
+# cap bounds them to about half a second.
+RANK_TRIAL_CAP = 1_000
 
 
 class VerifyTooLargeError(RuntimeError):
-    """The suite would sweep more than :data:`SWEEP_WORK_CAP` units of work."""
+    """The suite would pass :data:`SWEEP_WORK_CAP` or :data:`RANK_TRIAL_CAP`."""
 
 
 def _genus_params(g: int) -> list[BNParams]:
@@ -87,12 +93,17 @@ def sweep_params(g_max: int) -> list[BNParams]:
 def _check_sweep_size(
     g_max: int, geometries_per_param: int, winnability_trials: int, rank_trials: int
 ) -> None:
-    """Raise :class:`VerifyTooLargeError` if the suite exceeds the work cap.
+    """Raise :class:`VerifyTooLargeError` if the suite exceeds a work cap.
 
     Counts tableaux by the closed form, genus by genus, and stops as soon as
     the cap is passed, so the check is cheap for any flags.
     """
-    work = winnability_trials + rank_trials
+    if rank_trials > RANK_TRIAL_CAP:
+        raise VerifyTooLargeError(
+            f"verify runs at most {RANK_TRIAL_CAP} oracle rank trials, got "
+            f"{rank_trials}; lower --rank-trials"
+        )
+    work = winnability_trials
     g = 0
     while work <= SWEEP_WORK_CAP and g < g_max:
         g += 1
@@ -101,7 +112,7 @@ def _check_sweep_size(
     if work > SWEEP_WORK_CAP:
         raise VerifyTooLargeError(
             f"verify would sweep more than {SWEEP_WORK_CAP} tableau checks and "
-            "oracle trials; lower --g-max, --geometries or the trial counts"
+            "winnability trials; lower --g-max, --geometries or --winnability-trials"
         )
 
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
 from bnchains import serialize as ser
 from bnchains.cli import SERIES_CAP, _write_json_list, main
+from bnchains.verify import RANK_TRIAL_CAP
 
 from worked_example import tableau_662
 
@@ -728,6 +729,27 @@ def test_verify_refuses_sweeps_over_the_cap(capsys, args):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "verify would sweep more than" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", [RANK_TRIAL_CAP + 1, 99_000, 10**9])
+def test_verify_caps_rank_trials_apart_from_the_sweep(capsys, trials):
+    # each rank trial is an exhaustive bn_rank: --g-max 1 --rank-trials 99000
+    # stayed under the sweep cap and ran 27 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--g-max", "1", "--rank-trials", str(trials))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "--rank-trials" in err and "Traceback" not in err
+
+
+def test_verify_runs_the_rank_trial_cap(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--g-max", "1", "--geometries", "1",
+        "--winnability-trials", "0", "--rank-trials", str(RANK_TRIAL_CAP),
+    )
+    assert code == 0
+    # three component counts and three tableaux at genus 1
+    assert out == f"checks run: {RANK_TRIAL_CAP + 6}\nall checks pass\n"
 
 
 def test_verify_disagreement_exits_three(capsys, monkeypatch):

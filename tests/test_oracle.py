@@ -1,4 +1,6 @@
+import ast
 import random
+import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -25,13 +27,16 @@ from bnchains import (
     oracle,
     point_on_loop,
     reduce_to_q0,
+    solve_special_point,
     subdivide_chain,
     tropical_rank,
 )
 from bnchains.oracle import (
     DiscreteGraph,
     _bfs_distances,
+    _burn,
     _dfs_order,
+    _fire_unburnt,
     _reaches,
     _settle_debt,
 )
@@ -124,11 +129,9 @@ def test_dhar_reduce_is_q_reduced_and_equivalent():
     assert moment(reduced) == moment(cfg)
     # q-reduced: non-negative off q and burning consumes everything
     assert all(reduced[v] >= 0 for v in range(1, graph.vertex_count))
-    from bnchains.oracle import _burn
-
     chips = [reduced[v] for v in range(graph.vertex_count)]
-    unburnt, _ = _burn(graph.adjacency, chips, 0)
-    assert unburnt == []
+    boundary, burnt = _burn(graph.adjacency, chips, 0)
+    assert not boundary and all(burnt)
 
 
 def test_winnability_examples():
@@ -685,6 +688,92 @@ def test_reduction_matches_unit_step_reference_property(case):
     assert fast == slow
 
 
+def _full_scan_pass(adjacency, chips, q):
+    """Reference burn-and-fire pass over the whole unburnt set U.
+
+    Burns from q, lists every unburnt vertex and fires U along every edge out
+    of each of them, then carries the bundles along chipless degree-2 paths
+    as ``_fire_unburnt`` does.  Returns True, leaving ``chips`` as it is,
+    when everything burnt.
+    """
+    n = len(adjacency)
+    burnt = [False] * n
+    burnt[q] = True
+    count = [0] * n
+    stack = [q]
+    while stack:
+        v = stack.pop()
+        for w in adjacency[v]:
+            if not burnt[w]:
+                count[w] += 1
+                if count[w] > chips[w]:
+                    burnt[w] = True
+                    stack.append(w)
+    unburnt = [v for v in range(n) if not burnt[v]]
+    if not unburnt:
+        return True
+    times = min(chips[v] // count[v] for v in unburnt if count[v] > 0)
+    behind = []
+    ahead = []
+    for v in unburnt:
+        for w in adjacency[v]:
+            if burnt[w]:
+                chips[v] -= times
+                chips[w] += times
+                behind.append(v)
+                ahead.append(w)
+    if all(w != q and len(adjacency[w]) == 2 for w in ahead):
+        starts = list(ahead)
+        moving = True
+        while moving:
+            for i, v in enumerate(ahead):
+                a, b = adjacency[v]
+                behind[i], ahead[i] = v, b if a == behind[i] else a
+                if ahead[i] == q or len(adjacency[ahead[i]]) != 2:
+                    moving = False
+        for start, end in zip(starts, ahead):
+            chips[start] -= times
+            chips[end] += times
+    return False
+
+
+def test_boundary_pass_matches_full_scan_pass():
+    # a pass fires U through the boundary of the burnt set only; pass by pass
+    # it must leave the chips the full scan of U leaves, every root, debt
+    # settled first, on graphs with parallel edges
+    rng = random.Random(53)
+    passes = everything_burnt = parallel = 0
+    for i in range(120):
+        if i % 2:
+            adjacency = _random_multigraph(rng, 40).adjacency
+        else:
+            base = rng.randrange(1, 6)
+            adjacency = _subdivided_multigraph(base, _random_edges(rng, base))
+        chips = _random_chips(rng, len(adjacency))
+        for q in range(len(adjacency)):
+            fast = list(chips)
+            _settle_debt(adjacency, fast, q)
+            slow = list(fast)
+            while True:
+                boundary, burnt = _burn(adjacency, fast, q)
+                done = _full_scan_pass(adjacency, slow, q)
+                assert (not boundary) == done, (adjacency, chips, q)
+                if done:
+                    break
+                parallel += any(
+                    burnt[w] and adjacency[v].count(w) > 1
+                    for v in boundary
+                    for w in adjacency[v]
+                )
+                _fire_unburnt(adjacency, fast, q, boundary, burnt)
+                assert fast == slow, (adjacency, chips, q)
+                passes += 1
+            everything_burnt += 1
+    assert everything_burnt > 1500 and passes > 20_000
+    # a boundary vertex with parallel edges into the burnt set fires along each
+    assert parallel > 200, parallel
+
+
 def test_reaches_agrees_with_the_reduced_form():
     # _reaches stops as soon as q holds `least` chips; its answer must be the
     # reduced form's, and what it leaves must be in the class of the input,
@@ -822,3 +911,92 @@ def test_rho_zero_genus_five_degree_eight(monkeypatch):
     [(geom, divisor, graph, chips)] = _tableau_rank_cases(BNParams(5, 8, 4))
     assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == 4
     assert passes[0] <= 346_829
+
+
+def _coarse_generic_point(geom, k, d):
+    """The coarsest lattice point of loop k off Q_{k-1} and the special points.
+
+    The special coordinates are (u + 1) * l_k mod c_k for u = 0..d, the set
+    the sampler of ``divisor_from_tableau`` avoids.  An integer coordinate
+    where one exists, else a half-integer one.
+    """
+    ell, c = geom.ell(k), geom.circumference(k)
+    avoid = {(u + 1) * ell % c for u in range(d + 1)} | {0}
+    for denominator in (1, 2):
+        for j in range(1, int(c * denominator)):
+            if F(j, denominator) not in avoid:
+                return point_on_loop(geom, k, F(j, denominator))
+    raise AssertionError(f"loop {k}: no coarse generic point")
+
+
+def _coarse_tableau_divisor(t, geom):
+    """The tableau's divisor with each free index on its coarsest generic point.
+
+    Placed indices get the special points ``divisor_from_tableau`` gives.
+    """
+    p = t.params
+    support = [(Node(0), p.r)]
+    for i in range(1, p.g + 1):
+        if not t.is_placed(i):
+            support.append((_coarse_generic_point(geom, i, p.d), 1))
+        elif t.column_of(i) < p.r:
+            s = t.column_of(i)
+            u = p.r - s + t.column_fill(i, s) - t.column_fill(i, p.r) - 1
+            support.append((solve_special_point(geom, i, u), 1))
+    return TropicalDivisor(tuple(support))
+
+
+# each takes 4-12 s, so they stay out of Tier-1
+HEAVY_RHO_POSITIVE = {
+    (BNParams(4, 8, 4), ()),
+    (BNParams(5, 8, 3), ()),
+    (BNParams(5, 7, 3), ((2, 3, 4, 5),)),
+}
+
+
+def test_rho_positive_tableau_divisors_up_to_genus_five():
+    # a free point sampled with denominator 1009 gives 7k-18k vertices; any
+    # point off the special ones keeps the rank r (Pflueger), and the rank
+    # does not depend on which subdivision holds the support, so the coarse
+    # point asks the same question on 4-106 vertices
+    checked = heavy = 0
+    for params in sweep_params(5):
+        if params.rho <= 0 or params.d > 8:  # the rank search's degree cap
+            continue
+        geom = _worked_style_geometry(params.g)
+        for t in enumerate_tableaux(params):
+            divisor = _coarse_tableau_divisor(t, geom)
+            # off the free loops it is the divisor divisor_from_tableau gives
+            free = {i for i in range(1, params.g + 1) if not t.is_placed(i)}
+            placed = [
+                {(pt, m) for pt, m in d.points if isinstance(pt, Node) or pt.loop not in free}
+                for d in (divisor, divisor_from_tableau(t, geom))
+            ]
+            assert placed[0] == placed[1], t
+            if (params, t.rows) in HEAVY_RHO_POSITIVE:
+                heavy += 1
+                continue
+            graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
+            assert graph.vertex_count <= 106
+            chips = chips_from_divisor(graph, divisor)
+            assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == params.r, t
+            checked += 1
+    assert (checked, heavy) == (115, 3)
+
+
+def test_oracle_imports_no_loop_logic():
+    # the oracle checks the loop-class arithmetic, so a faster oracle may take
+    # the chain's types from .tropical but none of its logic
+    allowed = {"ChainGeometry", "ChainPoint", "Interior", "Node", "TropicalDivisor"}
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "tropical"), ast.dump(node)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+    assert imported <= allowed

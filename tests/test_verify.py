@@ -20,7 +20,10 @@ def test_sweep_cap_admits_the_default_sweep():
         vf._check_sweep_size(12, 3, 60, 15)
     with pytest.raises(vf.VerifyTooLargeError):
         vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP, 1)
-    vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP - 4, 1)
+    vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP - 3, vf.RANK_TRIAL_CAP)
+    # rank trials have a cap of their own and are not sweep work
+    with pytest.raises(vf.VerifyTooLargeError, match="rank trials"):
+        vf._check_sweep_size(1, 1, 0, vf.RANK_TRIAL_CAP + 1)
 
 
 def test_suite_passes_small():
