@@ -55,6 +55,12 @@ from .verify import VerifyTooLargeError, run_suite
 # 56 MB and writes 2.4 MB
 SERIES_CAP = 10_000
 
+# oracle rank and winnable refuse a divisor with more chips than this, its
+# multiplicities summed without sign; the reduction moves debt into the root
+# about a chip per burn pass, so 2**64 chips against 2**64 - 3 of debt on two
+# loops never finished, and 10**4 take 0.1-1.4 s on 13-157 vertices
+ORACLE_CHIP_CAP = 10_000
+
 
 class CLIError(Exception):
     """Flag or input validation problem; maps to exit code 1."""
@@ -251,6 +257,11 @@ def cmd_tropical_table(args) -> int:
 def cmd_oracle(args) -> int:
     geom = serialize.geometry_from_obj(_load_json(args.geometry))
     divisor = serialize.divisor_from_obj(_load_json(args.divisor), geom)
+    held = sum(abs(mult) for _, mult in divisor.points)
+    if held > ORACLE_CHIP_CAP:
+        raise OracleTooLargeError(
+            f"the divisor holds {held} chips, more than the cap of {ORACLE_CHIP_CAP}"
+        )
     graph = subdivide_chain(
         geom, [pt for pt, _ in divisor.points], subdiv_cap=args.subdiv_cap
     )

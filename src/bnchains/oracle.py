@@ -19,6 +19,9 @@ root only until it reaches such a divisor, and to the end only when the
 answer is no.  For each E the root walks that suffix of vertices, each check
 starting from the divisor the previous one left; the first check of D - E
 starts from the divisor the previous E's first check left plus E_prev - E.
+A check that succeeds leaves an effective divisor equivalent to D - E, which
+certifies every vertex it puts a chip on, so later roots of that E it
+certified are skipped.
 E and w range over all vertices, not only the nodes.  Nothing here shares
 logic with the loop-class arithmetic it cross-checks.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -385,8 +388,10 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     For each E, the first check starts from the divisor the previous E's
     first check left, plus E_prev - E, and each later root of the suffix
     from the divisor the previous root left.  Every start is in the class of
-    D - E, so the warm starts change no answer.  A level fails at the first
-    root where no equivalent effective divisor has a chip.
+    D - E, so the warm starts change no answer.  A check that succeeds leaves
+    an effective divisor equivalent to D - E, and a later root of the same E
+    that it puts a chip on is skipped: D - E - w is winnable.  A level fails
+    at the first root where no equivalent effective divisor has a chip.
     The orders are fixed, so runs are deterministic.  Degrees above
     ``degree_cap`` raise :class:`OracleTooLargeError`.
     """
@@ -413,10 +418,15 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
             for p in removed:
                 work[walk[p]] -= 1
             first = removed[-1] if removed else 0
+            reached = [False] * n  # roots certified for this E
             for p in range(first, n):
                 w = walk[p]
+                if reached[w]:
+                    continue
                 if not _reaches(adjacency, work, w, 1):
                     return False
+                for v in compress(range(n), work):
+                    reached[v] = True
                 if p == first:
                     seed, seed_removed = list(work), removed
         return True

@@ -35,6 +35,7 @@ from .tropical import (
     check_genericity,
     divisor_from_tableau,
     is_equivalent_to_effective,
+    point_on_loop,
     reduce_to_q0,
     tropical_rank,
     tropical_vanishing_table,
@@ -262,8 +263,6 @@ def random_rational_divisor(
             k = rng.randrange(1, geom.g + 1)
             c = geom.circumference(k)
             coord = c * Fraction(rng.randrange(1, coord_denominator), coord_denominator)
-            from .tropical import point_on_loop
-
             pt = point_on_loop(geom, k, coord)
         support[pt] = support.get(pt, 0) + mult
     return TropicalDivisor.from_dict(support)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
 from bnchains import serialize as ser
-from bnchains.cli import SERIES_CAP, _write_json_list, main
+from bnchains.cli import ORACLE_CHIP_CAP, SERIES_CAP, _write_json_list, main
 from bnchains.verify import RANK_TRIAL_CAP
 
 from worked_example import tableau_662
@@ -557,6 +557,101 @@ def test_divisor_file_top_level_array_exits_one(capsys, geometry_file, tmp_path)
     )
     assert code == 1 and out == ""
     assert "divisor" in err and "Traceback" not in err
+
+
+_CHAIN_GEOMETRY = {"g": 2, "loops": [{"l": "3/1", "m": "1/1"}, {"l": "5/2", "m": "1/2"}]}
+_CHAIN_DIVISOR = {"points": [
+    {"node": 0, "mult": 2},
+    {"loop": 1, "coord": "1/2", "mult": 1},
+    {"loop": 2, "coord": "2/1", "mult": 1},
+    {"node": 2, "mult": -1},
+]}
+# wrong types, bools, floats, huge integers, out-of-range nodes and loops,
+# zero, negative and unparsable lengths and coordinates
+_CHAIN_VALUES = st.one_of(
+    _JSON,
+    st.sampled_from([True, False, 0, -1, 2, 3, 10**9, 2**64, 10**30, -(10**18), 1.0, 2.5, 1e300]),
+    st.sampled_from(["0/1", "-3/1", "1/0", "7/3", "1/1000003", "10000000000/1", "1e3", "x", ""]),
+)
+
+
+@st.composite
+def _chain_inputs(draw):
+    """Geometry and divisor file texts: the valid pair with a few mutations, or raw values."""
+    objs = json.loads(json.dumps([_CHAIN_GEOMETRY, _CHAIN_DIVISOR]))
+    if draw(st.integers(0, 9)) == 0:
+        objs[draw(st.integers(0, 1))] = draw(_JSON)
+        return [json.dumps(obj) for obj in objs]
+    for _ in range(draw(st.integers(0, 3))):
+        obj = objs[draw(st.integers(0, 1))]
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = obj
+        for step in head:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "nudge"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "nudge" and type(parent[key]) is int:
+            parent[key] += draw(st.integers(-3, 3))
+        else:
+            parent[key] = draw(_CHAIN_VALUES)
+    return [json.dumps(obj) for obj in objs]
+
+
+@given(
+    texts=_chain_inputs(),
+    command=st.sampled_from([
+        ("tropical", "rank"),
+        ("tropical", "rank", "--allow-nongeneric"),
+        ("tropical", "table", "--r", "1"),
+        ("tropical", "table", "--r", "2", "--allow-nongeneric"),
+        ("tropical", "table", "--r", "-1", "--format", "json"),
+        ("oracle", "rank", "--subdiv-cap", "60", "--degree-cap", "3"),
+        ("oracle", "winnable", "--subdiv-cap", "60"),
+    ]),
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_chain_commands_exit_cleanly_on_any_file(capsys, tmp_path, texts, command):
+    # whatever the geometry and divisor files hold, tropical rank and table
+    # and oracle rank and winnable answer 0, 1 or 2 and never a traceback
+    geom_path = tmp_path / "geom.json"
+    div_path = tmp_path / "div.json"
+    for path, text in zip((geom_path, div_path), texts):
+        path.write_text(text)
+    code, _, err = run(
+        capsys, *command[:2], "--geometry", str(geom_path), "--divisor", str(div_path),
+        *command[2:],
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["winnable", "rank"])
+def test_oracle_refuses_divisors_over_the_chip_cap(capsys, tmp_path, command):
+    # degree 3, but the reduction would move the debt of 2**64 - 3 chips into
+    # the root about one chip per burn pass
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps(_CHAIN_GEOMETRY))
+    div_path = tmp_path / "div.json"
+    argv = ("oracle", command, "--divisor", str(div_path), "--geometry", str(geom_path))
+    for big, code_wanted in ((2**64, 2), (ORACLE_CHIP_CAP // 2, 0)):
+        div_path.write_text(json.dumps({"points": [
+            {"loop": 1, "coord": "1/2", "mult": 3 - big},
+            {"loop": 2, "coord": "2/1", "mult": big},
+        ]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == code_wanted, err
+        assert "Traceback" not in err
+    assert out.strip() == ("true" if command == "winnable" else "1")  # d - g at d = 2g - 1
 
 
 @pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True, 1.5, "1"])
