@@ -31,6 +31,7 @@ from .effective import (
 )
 from .elliptic import check_eh_series, eh_series_from_tableau
 from .oracle import (
+    ORACLE_CHIP_CAP,
     OracleTooLargeError,
     bn_rank,
     chips_from_divisor,
@@ -54,12 +55,6 @@ from .verify import VerifyTooLargeError, run_suite
 # it; at the cap, effective --format json (g = 10**4, r = 0) peaks at about
 # 56 MB and writes 2.4 MB
 SERIES_CAP = 10_000
-
-# oracle rank and winnable refuse a divisor with more chips than this, its
-# multiplicities summed without sign; the reduction moves debt into the root
-# about a chip per burn pass, so 2**64 chips against 2**64 - 3 of debt on two
-# loops never finished, and 10**4 take 0.1-1.4 s on 13-157 vertices
-ORACLE_CHIP_CAP = 10_000
 
 
 class CLIError(Exception):
@@ -257,11 +252,6 @@ def cmd_tropical_table(args) -> int:
 def cmd_oracle(args) -> int:
     geom = serialize.geometry_from_obj(_load_json(args.geometry))
     divisor = serialize.divisor_from_obj(_load_json(args.divisor), geom)
-    held = sum(abs(mult) for _, mult in divisor.points)
-    if held > ORACLE_CHIP_CAP:
-        raise OracleTooLargeError(
-            f"the divisor holds {held} chips, more than the cap of {ORACLE_CHIP_CAP}"
-        )
     graph = subdivide_chain(
         geom, [pt for pt, _ in divisor.points], subdiv_cap=args.subdiv_cap
     )
@@ -360,7 +350,10 @@ def build_parser() -> _Parser:
     pt.add_argument("--format", choices=["json", "table"], default="table")
     pt.set_defaults(func=cmd_tropical_table)
 
-    p = sub.add_parser("oracle", help="chip-firing model queries")
+    p = sub.add_parser(
+        "oracle",
+        help=f"chip-firing model queries on divisors of at most {ORACLE_CHIP_CAP} chips",
+    )
     osub = p.add_subparsers(dest="oracle_command", required=True)
     for name in ("rank", "winnable"):
         po = osub.add_parser(name)

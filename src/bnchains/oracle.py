@@ -18,27 +18,38 @@ a chip on w.  Each such check, and each winnability test, reduces toward its
 root only until it reaches such a divisor, and to the end only when the
 answer is no.  For each E the root walks that suffix of vertices, each check
 starting from the divisor the previous one left; the first check of D - E
-starts from the divisor the previous E's first check left plus E_prev - E.
-A check that succeeds leaves an effective divisor equivalent to D - E, which
-certifies every vertex it puts a chip on, so later roots of that E it
-certified are skipped.
+starts from the divisor the first check of the last E checked left, plus
+E_prev - E.
+A check that succeeds leaves an effective divisor H equivalent to D - E, so
+E + H is effective and equivalent to D, and for every effective F of the
+level's degree with F <= E + H, D - F is equivalent to E + H - F, which is
+effective: D - F is winnable.  Every such F the walk has not reached yet is
+recorded, whatever its E, and skipped when the walk reaches it.
 E and w range over all vertices, not only the nodes.  Nothing here shares
-logic with the loop-class arithmetic it cross-checks.
+logic with the loop-class arithmetic it cross-checks.  Configurations of
+more than :data:`ORACLE_CHIP_CAP` chips, counted without sign, are refused.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement, compress
+from itertools import combinations, combinations_with_replacement, compress
 from math import lcm
 from typing import Iterable, Mapping
 
 from .tropical import ChainGeometry, ChainPoint, Interior, Node, TropicalDivisor
 
 
+# is_winnable, bn_rank and dhar_reduce refuse a configuration with more chips
+# than this, its counts summed without sign; the reduction moves debt into the
+# root about a chip per burn pass, so 2**64 chips against 2**64 - 3 of debt on
+# two loops never finished, and 10**4 take 0.1-1.4 s on 13-157 vertices
+ORACLE_CHIP_CAP = 10_000
+
+
 class OracleTooLargeError(RuntimeError):
-    """Requested model exceeds the configured subdivision or degree caps."""
+    """Requested model exceeds the configured subdivision, degree or chip caps."""
 
 
 class DiscreteGraph:
@@ -171,7 +182,16 @@ class ChipConfig:
 
 
 def _chip_list(graph: DiscreteGraph, config: ChipConfig) -> list[int]:
-    """The chip count of every vertex, as a list indexed by vertex."""
+    """The chip count of every vertex, as a list indexed by vertex.
+
+    Raises :class:`OracleTooLargeError` when the counts, summed without
+    sign, exceed :data:`ORACLE_CHIP_CAP`.
+    """
+    held = sum(abs(c) for _, c in config.items())
+    if held > ORACLE_CHIP_CAP:
+        raise OracleTooLargeError(
+            f"the divisor holds {held} chips, more than the cap of {ORACLE_CHIP_CAP}"
+        )
     chips = [0] * graph.vertex_count
     for v, c in config.items():
         chips[v] = c
@@ -342,7 +362,8 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
     without sending some vertex negative.  Computed by settling debt and then
     burning and firing (:func:`_fire_unburnt`) until everything burns; every
     step is a sequence of legal firings, so the answer is the unique q-reduced
-    form.
+    form.  More than :data:`ORACLE_CHIP_CAP` chips raise
+    :class:`OracleTooLargeError`.
     """
     chips = _chip_list(graph, config)
     _reaches(graph.adjacency, chips, q, config.degree + 1)
@@ -353,7 +374,8 @@ def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:
     """True iff the configuration is equivalent to an effective one.
 
     The reduction toward q stops at the first equivalent effective divisor:
-    once debt is settled, as soon as q is out of debt.
+    once debt is settled, as soon as q is out of debt.  More than
+    :data:`ORACLE_CHIP_CAP` chips raise :class:`OracleTooLargeError`.
     """
     return _reaches(graph.adjacency, _chip_list(graph, config), q, 0)
 
@@ -373,6 +395,31 @@ def _dfs_order(adjacency, q: int) -> list[int]:
     return order
 
 
+def _certify(ahead, ends, removed, work, position) -> None:
+    """Record each F of degree r with F <= E + ``work`` not yet behind the walk.
+
+    ``work`` is effective and equivalent to D - E, so for every effective F
+    of degree r with F <= E + work, D - F is equivalent to E + work - F,
+    which is effective.  F is a sorted tuple of r positions and the walk
+    checks it as E' + w, E' = F[:-1] and w = F[-1], so F is recorded as bit
+    w of ``ahead[E']``, and only when E' is E or after it: ``ahead`` holds
+    no F the walk has passed.  With the deg D chips of E + work sorted into
+    ``held``, each E' is a subset of r - 1 of them, and its roots are the
+    chips after its last one; ``ends`` gives, for each subset in the order
+    ``combinations`` makes them, the index after its last chip.
+    """
+    held = list(removed)
+    for v in compress(range(len(work)), work):
+        held += [position[v]] * work[v]
+    held.sort()
+    roots = [0] * (len(held) + 1)  # roots[i]: the positions held[i:], as a bitmask
+    for i in range(len(held) - 1, -1, -1):
+        roots[i] = roots[i + 1] | 1 << held[i]
+    for head, end in zip(combinations(held, len(removed)), ends):
+        if head >= removed:
+            ahead[head] = ahead.get(head, 0) | roots[end]
+
+
 def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> int:
     """Baker-Norine rank of the configuration D, by suffix walks of the root.
 
@@ -385,15 +432,27 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     effective divisor equivalent to D - E has a chip on w, and each check
     reduces toward w only until it reaches one; it reduces to the end only
     when the answer is no, since the w-reduced form has the most chips on w.
-    For each E, the first check starts from the divisor the previous E's
-    first check left, plus E_prev - E, and each later root of the suffix
-    from the divisor the previous root left.  Every start is in the class of
-    D - E, so the warm starts change no answer.  A check that succeeds leaves
-    an effective divisor equivalent to D - E, and a later root of the same E
-    that it puts a chip on is skipped: D - E - w is winnable.  A level fails
-    at the first root where no equivalent effective divisor has a chip.
-    The orders are fixed, so runs are deterministic.  Degrees above
-    ``degree_cap`` raise :class:`OracleTooLargeError`.
+    For each E, the first check starts from the divisor the first check of
+    the last E checked left, plus E_prev - E, and each later root of the
+    suffix from the divisor the previous check left.  Every start is in the
+    class of D - E, so the warm starts change no answer.
+
+    A check that succeeds leaves an effective divisor H equivalent to D - E.
+    Then E + H is effective and equivalent to D, and for every effective F
+    of degree r with F <= E + H, D - F is equivalent to E + H - F >= 0, so
+    D - F is winnable.  Each such F that lies after the current E + w in the
+    walk is recorded under its own split E' + w' and skipped when the walk
+    reaches it; a skip only passes over an F whose answer is yes, so no
+    answer changes.  The record holds one bitmask of roots per E' still
+    ahead and drops it when the walk reaches E', so it grows with the checks
+    made, not with the F there are.  An E whose roots are all skipped
+    leaves the seed as it was, still in the class of D minus the E that
+    left it, so the next E starts in its own class and settles any debt.  A
+    level fails at the first F reached, never a recorded one, where no
+    equivalent effective divisor has a chip on w.  The orders are fixed, so
+    runs are deterministic.  Degrees above ``degree_cap`` raise
+    :class:`OracleTooLargeError`, as do more than :data:`ORACLE_CHIP_CAP`
+    chips.
     """
     degree = config.degree
     if degree > degree_cap:
@@ -407,28 +466,33 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     if not _reaches(adjacency, effective, q, 0):
         return -1
     walk = _dfs_order(adjacency, q)
+    position = [0] * n
+    for p, v in enumerate(walk):
+        position[v] = p
 
     def every_split_keeps_a_chip(r: int) -> bool:
+        # E -> the roots p with E + p certified, as a bitmask, for E still ahead
+        ahead: dict[tuple[int, ...], int] = {}
+        ends = [c[-1] + 1 if c else 0 for c in combinations(range(degree), r - 1)]
         # an effective divisor equivalent to D, with E_prev = (), seeds the first E
         seed, seed_removed = effective, ()
         for removed in combinations_with_replacement(range(n), r - 1):
+            skip = ahead.pop(removed, 0)
             work = list(seed)
             for p in seed_removed:
                 work[walk[p]] += 1
             for p in removed:
                 work[walk[p]] -= 1
             first = removed[-1] if removed else 0
-            reached = [False] * n  # roots certified for this E
             for p in range(first, n):
-                w = walk[p]
-                if reached[w]:
+                if skip >> p & 1:
                     continue
-                if not _reaches(adjacency, work, w, 1):
+                if not _reaches(adjacency, work, walk[p], 1):
                     return False
-                for v in compress(range(n), work):
-                    reached[v] = True
-                if p == first:
+                if seed_removed != removed:  # the first check of this E
                     seed, seed_removed = list(work), removed
+                _certify(ahead, ends, removed, work, position)
+                skip |= ahead.pop(removed, 0)  # the roots of this E it certified
         return True
 
     r = 0

@@ -32,6 +32,7 @@ from bnchains import (
     tropical_rank,
 )
 from bnchains.oracle import (
+    ORACLE_CHIP_CAP,
     DiscreteGraph,
     _bfs_distances,
     _burn,
@@ -165,6 +166,31 @@ def test_bn_rank_degree_zero():
     graph = cycle_graph()
     assert bn_rank(graph, ChipConfig({})) == 0
     assert bn_rank(graph, ChipConfig({3: 1, 5: -1})) == -1
+
+
+@pytest.mark.parametrize(
+    "query, answer",
+    [
+        (lambda graph, cfg: is_winnable(graph, cfg, 0), True),
+        (lambda graph, cfg: bn_rank(graph, cfg), 1),  # d - g at d = 2g - 1
+        (lambda graph, cfg: dhar_reduce(graph, cfg, 0).degree, 3),
+    ],
+    ids=["is_winnable", "bn_rank", "dhar_reduce"],
+)
+def test_oracle_refuses_configurations_over_the_chip_cap(query, answer):
+    # degree 3, but the reduction would move a debt of 2**64 - 3 chips into
+    # the root about one chip per burn pass; half the cap still runs
+    a, b = Interior(1, F(1, 2)), Interior(2, F(2))
+    graph = subdivide_chain(ChainGeometry(((F(3), F(1)), (F(5, 2), F(1, 2)))), [a, b])
+    for big in (2**64, ORACLE_CHIP_CAP // 2):
+        cfg = ChipConfig({graph.vertex_of(a): 3 - big, graph.vertex_of(b): big})
+        start = time.perf_counter()
+        if big > ORACLE_CHIP_CAP:
+            with pytest.raises(OracleTooLargeError, match="more than the cap"):
+                query(graph, cfg)
+        else:
+            assert query(graph, cfg) == answer
+        assert time.perf_counter() - start < 1.0
 
 
 @given(st.integers(0, 2**30))
@@ -376,6 +402,53 @@ def test_bn_rank_matches_all_roots_walk_beyond_cold_reach():
     assert set(ranks) == {-1, 0, 1, 2}
 
 
+def test_bn_rank_matches_all_roots_walk_at_rank_two_and_up(monkeypatch):
+    # a held divisor certifies an F of another E only at levels r >= 2, so
+    # these levels must pass: degree 6-8 on chains of genus 3-5 and at most
+    # 20 vertices, with d - g <= 3 to keep the reference's levels small.
+    # Each F recorded for a later E must have D - F winnable, checked cold,
+    # and the record must hold no E the walk has passed.
+    recorded = []
+    original_certify = oracle._certify
+
+    def recording_certify(ahead, ends, removed, work, position):
+        before = dict(ahead)
+        original_certify(ahead, ends, removed, work, position)
+        assert min(ahead, default=removed) >= removed  # nothing behind the walk
+        for head, roots in ahead.items() - before.items():
+            new = 0 if head == removed else roots & ~before.get(head, 0)
+            recorded.extend(head + (w,) for w in range(new.bit_length()) if new >> w & 1)
+
+    monkeypatch.setattr(oracle, "_certify", recording_certify)
+    rng = random.Random(41)
+    ranks = []
+    cross = 0
+    while len(ranks) < 20:
+        g = rng.randrange(3, 6)
+        geom = ChainGeometry(
+            tuple((rng.choice(HALF_LENGTHS), rng.choice(HALF_LENGTHS)) for _ in range(g))
+        )
+        graph = subdivide_chain(geom)
+        degree = rng.randrange(6, 9)
+        if graph.vertex_count > 20 or degree - g > 3:
+            continue
+        cfg = _random_config(rng, graph.vertex_count, degree)
+        recorded.clear()
+        rank = bn_rank(graph, cfg)
+        assert rank == _all_roots_bn_rank(graph, cfg), (geom, cfg)
+        ranks.append(rank)
+        walk = _dfs_order(graph.adjacency, 0)
+        for f in rng.sample(recorded, min(len(recorded), 40)):
+            chips = [cfg[v] for v in range(graph.vertex_count)]
+            for p in f:
+                chips[walk[p]] -= 1
+            _reduce_in_place(graph.adjacency, chips, 0)
+            assert chips[0] >= 0, (geom, cfg, f)
+        cross += len(recorded)
+    assert {2, 3} <= set(ranks)
+    assert cross > 10_000, cross  # 14,088 F of a later E recorded
+
+
 def _relabelled(graph, cfg, perm):
     """The same graph and configuration with vertex v renamed perm[v]."""
     adjacency = [()] * graph.vertex_count
@@ -389,8 +462,9 @@ def _relabelled(graph, cfg, perm):
 def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     # on a tree D - F is winnable whenever its degree is >= 0, so every level
     # passes: one root check for D and at most one per effective F of degree
-    # 1..deg D, fewer as a root an earlier check of the same E left a chip on
-    # is skipped.  The relabelling puts the walk out of vertex order.
+    # 1..deg D, fewer as an F below a divisor an earlier check left is
+    # skipped (450 when only the roots of the same E were).  The relabelling
+    # puts the walk out of vertex order.
     rng = random.Random(4)
     n = 12
     edges = [(rng.randrange(v), v, 1) for v in range(1, n)]
@@ -399,16 +473,9 @@ def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     rng.shuffle(perm)
     graph, cfg = _relabelled(tree, ChipConfig({3: 2, 7: 1}), perm)
     assert _dfs_order(graph.adjacency, 0) != list(range(n))
-    calls = [0]
-    original_reaches = oracle._reaches
-
-    def counting_reaches(adjacency, chips, q, least):
-        calls[0] += 1
-        return original_reaches(adjacency, chips, q, least)
-
-    monkeypatch.setattr(oracle, "_reaches", counting_reaches)
+    calls = _count_calls(monkeypatch, "_reaches")
     assert bn_rank(graph, cfg) == 3
-    assert calls[0] == 450 < 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
+    assert calls[0] == 434 < 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
 
 
 def _first_failing_level(adjacency, chips):
@@ -629,23 +696,26 @@ def _reduction_graphs(rng, count):
             yield _subdivided_multigraph(base, _random_edges(rng, base))
 
 
-def _count_burn_passes(monkeypatch):
-    """Wrap ``oracle._burn``; the returned list's one entry counts its calls."""
-    passes = [0]
-    original_burn = oracle._burn
+def _count_calls(monkeypatch, name):
+    """Wrap ``oracle.<name>``; the returned list's one entry counts its calls.
 
-    def counting_burn(adjacency, chips, q):
-        passes[0] += 1
-        return original_burn(adjacency, chips, q)
+    ``_burn`` counts burn passes, ``_reaches`` root checks.
+    """
+    calls = [0]
+    original = getattr(oracle, name)
 
-    monkeypatch.setattr(oracle, "_burn", counting_burn)
-    return passes
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(oracle, name, counting)
+    return calls
 
 
 def test_reduction_matches_unit_step_reference(monkeypatch):
     # every root of every graph, so paths start next to q, end at q or run past it
     rng = random.Random(77)
-    passes = _count_burn_passes(monkeypatch)
+    passes = _count_calls(monkeypatch, "_burn")
     reference_passes = cases = 0
     for adjacency in _reduction_graphs(rng, 150):
         n = len(adjacency)
@@ -826,7 +896,7 @@ def test_rho_one_divisor_minus_points_is_within_reach(monkeypatch):
     # a sampled point of denominator 1009 puts the (3,3,1) divisor on 18,160
     # vertices; unit steps took 13-59 s per winnability test there, and
     # reducing to the end took 238 burn passes for all twelve
-    passes = _count_burn_passes(monkeypatch)
+    passes = _count_calls(monkeypatch, "_burn")
     geom = ChainGeometry(tuple((F(4 + j), F(1)) for j in range(3)))
     tableau = next(iter(enumerate_tableaux(BNParams(3, 3, 1))))
     divisor = divisor_from_tableau(tableau, geom)
@@ -858,11 +928,11 @@ def test_rho_one_divisor_minus_points_is_within_reach(monkeypatch):
 def test_run_suite_burn_passes_bounded(monkeypatch):
     # a count, not a time: the unit-step reduction took 12,470 passes here,
     # walking every root for every E took 4,724, reducing each root check
-    # to the end took 3,498, and checking the roots a held divisor certified
-    # took 1,981
-    passes = _count_burn_passes(monkeypatch)
+    # to the end took 3,498, checking the roots a held divisor certified
+    # took 1,981, and skipping only the roots of the check's own E took 1,651
+    passes = _count_calls(monkeypatch, "_burn")
     assert run_suite(6, 0).passed
-    assert passes[0] <= 1_651
+    assert passes[0] <= 1_524
 
 
 def _worked_style_geometry(g):
@@ -881,22 +951,25 @@ def _tableau_rank_cases(params):
 
 @pytest.mark.parametrize(
     "params, bound",
-    [(BNParams(4, 6, 3), 4_592), (BNParams(6, 6, 2), 9_999)],
+    [(BNParams(4, 6, 3), 2_039), (BNParams(6, 6, 2), 6_008)],
     ids=["4-6-3", "6-6-2"],
 )
 def test_bn_rank_burn_passes_bounded(monkeypatch, params, bound):
     # a count, not a time: walking every root for every E took 48,128 passes
     # on the (4,6,3) divisor and 105,756 on the five (6,6,2) divisors;
-    # reducing each root check to the end took 14,142 and 36,368, and
-    # checking the roots a held divisor certified took 6,202 and 14,850
-    passes = _count_burn_passes(monkeypatch)
+    # reducing each root check to the end took 14,142 and 36,368, checking
+    # the roots a held divisor certified took 6,202 and 14,850, and skipping
+    # only the roots of the check's own E took 4,592 and 9,999
+    passes = _count_calls(monkeypatch, "_burn")
     for _, _, graph, chips in _tableau_rank_cases(params):
         assert bn_rank(graph, chips) == params.r
     assert passes[0] <= bound
 
 
-def test_rho_zero_tableau_divisors_up_to_genus_five():
-    # (5,8,4) has a test of its own below
+def test_rho_zero_tableau_divisors_up_to_genus_five(monkeypatch):
+    # (5,8,4) has a test of its own below.  A count, not a time: 3,763 root
+    # checks when a check skipped only the roots of its own E it certified
+    checks = _count_calls(monkeypatch, "_reaches")
     checked = 0
     for params in sweep_params(5):
         if params.rho != 0 or params == BNParams(5, 8, 4):
@@ -905,16 +978,17 @@ def test_rho_zero_tableau_divisors_up_to_genus_five():
             assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == params.r
             checked += 1
     assert checked == 10
+    assert checks[0] == 1_297
 
 
 def test_rho_zero_genus_five_degree_eight(monkeypatch):
     # degree 8 on 51 vertices: 822,680 burn passes when each root check
     # reduced to the end, 346,829 when it checked the roots a held divisor
-    # certified
-    passes = _count_burn_passes(monkeypatch)
+    # certified, 248,110 when it skipped only the roots of its own E
+    passes = _count_calls(monkeypatch, "_burn")
     [(geom, divisor, graph, chips)] = _tableau_rank_cases(BNParams(5, 8, 4))
     assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == 4
-    assert passes[0] <= 248_110
+    assert passes[0] <= 101_770
 
 
 def _coarse_generic_point(geom, k, d):
@@ -950,14 +1024,14 @@ def _coarse_tableau_divisor(t, geom):
     return TropicalDivisor(tuple(support))
 
 
-# (4,8,4) takes 6-9 s, so it runs under -m slow only
-HEAVY_RHO_POSITIVE = {(BNParams(4, 8, 4), ())}
-
-# the 106-vertex divisors, 2-3 s each: walking every root of each E took
-# 218,498 and 220,244 burn passes
+# the heaviest divisors: (4,8,4), rank 4 on 65 vertices, 4.6-4.8 s, and the
+# two on 106 vertices, 1.1-1.2 s each.  Walking every root of each E took
+# 869,624, 218,498 and 220,244 burn passes, and skipping only the roots of
+# the check's own E took 586,972, 139,180 and 137,014
 RHO_POSITIVE_BURN_BOUNDS = {
-    (BNParams(5, 8, 3), ()): 139_180,
-    (BNParams(5, 7, 3), ((2, 3, 4, 5),)): 137_014,
+    (BNParams(4, 8, 4), ()): 145_368,
+    (BNParams(5, 8, 3), ()): 48_644,
+    (BNParams(5, 7, 3), ((2, 3, 4, 5),)): 52_803,
 }
 
 
@@ -966,8 +1040,8 @@ def test_rho_positive_tableau_divisors_up_to_genus_five(monkeypatch):
     # point off the special ones keeps the rank r (Pflueger), and the rank
     # does not depend on which subdivision holds the support, so the coarse
     # point asks the same question on 4-106 vertices
-    passes = _count_burn_passes(monkeypatch)
-    checked = heavy = 0
+    passes = _count_calls(monkeypatch, "_burn")
+    checked = 0
     for params in sweep_params(5):
         if params.rho <= 0 or params.d > 8:  # the rank search's degree cap
             continue
@@ -981,9 +1055,6 @@ def test_rho_positive_tableau_divisors_up_to_genus_five(monkeypatch):
                 for d in (divisor, divisor_from_tableau(t, geom))
             ]
             assert placed[0] == placed[1], t
-            if (params, t.rows) in HEAVY_RHO_POSITIVE:
-                heavy += 1
-                continue
             graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
             assert graph.vertex_count <= 106
             chips = chips_from_divisor(graph, divisor)
@@ -992,22 +1063,7 @@ def test_rho_positive_tableau_divisors_up_to_genus_five(monkeypatch):
             bound = RHO_POSITIVE_BURN_BOUNDS.get((params, t.rows))
             assert bound is None or passes[0] - before <= bound, t
             checked += 1
-    assert (checked, heavy) == (117, 1)
-
-
-@pytest.mark.slow
-def test_rho_positive_genus_four_degree_eight(monkeypatch):
-    # rank 4 on 65 vertices: walking every root of each E took 869,624 burn
-    # passes
-    passes = _count_burn_passes(monkeypatch)
-    geom = _worked_style_geometry(4)
-    [t] = enumerate_tableaux(BNParams(4, 8, 4))
-    divisor = _coarse_tableau_divisor(t, geom)
-    graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
-    assert graph.vertex_count == 65
-    chips = chips_from_divisor(graph, divisor)
-    assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == 4
-    assert passes[0] <= 586_972
+    assert checked == 118
 
 
 def test_oracle_imports_no_loop_logic():
