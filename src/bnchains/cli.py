@@ -24,11 +24,7 @@ import sys
 from itertools import islice
 
 from . import render, serialize
-from .effective import (
-    NotRefinedError,
-    describe_concentration,
-    eh_to_effective,
-)
+from .effective import describe_concentration, eh_to_effective
 from .elliptic import check_eh_series, eh_series_from_tableau
 from .oracle import (
     ORACLE_CHIP_CAP,
@@ -278,7 +274,6 @@ def cmd_verify(args) -> int:
         geometries_per_param=args.geometries,
         oracle_winnability_trials=args.winnability_trials,
         oracle_rank_trials=args.rank_trials,
-        subdiv_cap=args.subdiv_cap,
     )
     print(f"checks run: {result.checks_run}")
     if result.passed:
@@ -370,7 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--geometries", type=int, default=3)
     p.add_argument("--winnability-trials", dest="winnability_trials", type=int, default=60)
     p.add_argument("--rank-trials", dest="rank_trials", type=int, default=15)
-    p.add_argument("--subdiv-cap", dest="subdiv_cap", type=int, default=100_000)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -403,17 +397,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        NotRefinedError,
-        SamplingError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    except (CLIError, SamplingError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

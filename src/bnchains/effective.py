@@ -25,6 +25,7 @@ from .elliptic import (
     SeriesCheck,
     VanishingSequence,
     check_eh_series,
+    eh_series_from_tableau,
 )
 from .tableaux import BNParams, Tableau
 
@@ -218,8 +219,6 @@ def effective_vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:
 
 def effective_series_from_tableau(t: Tableau) -> EffectiveSeries:
     """Shorthand for eh_to_effective(eh_series_from_tableau(t))."""
-    from .elliptic import eh_series_from_tableau
-
     return eh_to_effective(eh_series_from_tableau(t))
 
 

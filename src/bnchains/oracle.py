@@ -11,20 +11,35 @@ firing sends chips only into paths of such vertices, they move along the
 paths by a whole distance in one step, as on a metric graph; each step is a
 sequence of legal firings, so every reduced form is the one unit steps give.
 Rank uses the criterion of Baker and Norine: rank >= r iff D - F is winnable
-for every effective F of degree r.  With the vertices numbered in depth-first
-order, each F is split once as F = E + w, w at or after the last vertex of
-E, and D - F is winnable iff some effective divisor equivalent to D - E has
-a chip on w.  Each such check, and each winnability test, reduces toward its
-root only until it reaches such a divisor, and to the end only when the
-answer is no.  For each E the root walks that suffix of vertices, each check
-starting from the divisor the previous one left; the first check of D - E
-starts from the divisor the first check of the last E checked left, plus
-E_prev - E.
+for every effective F of degree r.  Each F is split once as F = E + w: E of
+degree r - 1, a multiset of vertices in lexicographic order, and w a root
+at or after the last vertex of E.  Any total order of the vertices splits
+each F exactly once, so the numbering changes no answer, only the speed:
+:func:`subdivide_chain` numbers the vertices in depth-first preorder from
+Q_0, so consecutive roots are mostly adjacent and each warm start below has
+little to move.  D - F is winnable iff some effective divisor equivalent to
+D - E has a chip on w.  Each such check, and each winnability test, reduces
+toward its root only until it reaches such a divisor, and to the end only
+when the answer is no, since the w-reduced form has the most chips on w.
+For each E the root walks that suffix of vertices, each check starting from
+the divisor the previous one left; the first check of D - E starts from the
+divisor the first check of the last E checked left, plus E_prev - E.  Every
+start is in the class of D - E, so the warm starts change no answer.
+
 A check that succeeds leaves an effective divisor H equivalent to D - E, so
 E + H is effective and equivalent to D, and for every effective F of the
 level's degree with F <= E + H, D - F is equivalent to E + H - F, which is
 effective: D - F is winnable.  Every such F the walk has not reached yet is
-recorded, whatever its E, and skipped when the walk reaches it.
+recorded under its own split E' + w', whatever its E, and skipped when the
+walk reaches it; a skip only passes over an F whose answer is yes.  The
+record holds one bitmask of roots per E' still ahead and drops it when the
+walk reaches E', so it grows with the checks made, not with the F there
+are.  An E whose roots are all skipped leaves the seed as it was, still in
+the class of D minus the E that left it, so the next E starts in its own
+class and settles any debt.  A level fails at the first F reached, never a
+recorded one, where no equivalent effective divisor has a chip on w.  The
+orders are fixed, so runs are deterministic.
+
 E and w range over all vertices, not only the nodes.  Nothing here shares
 logic with the loop-class arithmetic it cross-checks.  Configurations of
 more than :data:`ORACLE_CHIP_CAP` chips, counted without sign, are refused.
@@ -57,7 +72,9 @@ class DiscreteGraph:
 
     Loop k becomes a cycle of N*(l_k + m_k) edges, consecutive loops sharing
     the node vertex between them.  ``vertex_of`` maps every chain landmark
-    (nodes Q_0..Q_g and registered interior points) to its vertex.
+    (nodes Q_0..Q_g and registered interior points) to its vertex.  Every
+    vertex number is a valid name: the oracle's answers do not depend on the
+    numbering, which changes only how fast :func:`bn_rank` walks the roots.
     """
 
     def __init__(
@@ -98,7 +115,10 @@ def subdivide_chain(
     """Build the unit-edge model with every landmark on a vertex.
 
     The scale N is the exact lcm of the denominators of all arc lengths and
-    extra-point coordinates, so placement is bit-exact.  Raises
+    extra-point coordinates, so placement is bit-exact.  The vertices are
+    numbered in depth-first preorder from Q_0 = 0: loop k runs on from
+    Q_{k-1} along the l-arc through Q_k and back around the m-arc, and loop
+    k + 1 starts at the next free number.  Raises
     :class:`OracleTooLargeError` when N * sum(l_k + m_k) exceeds the cap.
     """
     extras = list(extra_points)
@@ -125,13 +145,13 @@ def subdivide_chain(
         l, m = geom.lengths[k - 1]
         n_k = int(scale * (l + m))
         start = node_vertices[k - 1]
-        # positions 0..n_k-1 around loop k; position 0 is Q_{k-1}
-        position_to_vertex = [start] + list(range(next_vertex, next_vertex + n_k - 1))
+        # the vertices j = 0..n_k-1 steps around loop k from Q_{k-1}
+        around = [start] + list(range(next_vertex, next_vertex + n_k - 1))
         loop_start.append(next_vertex)
         next_vertex += n_k - 1
         for j in range(n_k):
-            edges.append((position_to_vertex[j], position_to_vertex[(j + 1) % n_k]))
-        node_vertices.append(position_to_vertex[int(scale * l)])
+            edges.append((around[j], around[(j + 1) % n_k]))
+        node_vertices.append(around[int(scale * l)])
     interior_vertices: dict[tuple[int, Fraction], int] = {}
     for pt in extras:
         if isinstance(pt, Node):
@@ -380,27 +400,12 @@ def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:
     return _reaches(graph.adjacency, _chip_list(graph, config), q, 0)
 
 
-def _dfs_order(adjacency, q: int) -> list[int]:
-    """Depth-first preorder from q: consecutive vertices are mostly adjacent."""
-    seen = [False] * len(adjacency)
-    order = []
-    stack = [q]
-    while stack:
-        v = stack.pop()
-        if seen[v]:
-            continue
-        seen[v] = True
-        order.append(v)
-        stack.extend(w for w in reversed(adjacency[v]) if not seen[w])
-    return order
-
-
-def _certify(ahead, ends, removed, work, position) -> None:
+def _certify(ahead, ends, removed, work) -> None:
     """Record each F of degree r with F <= E + ``work`` not yet behind the walk.
 
     ``work`` is effective and equivalent to D - E, so for every effective F
     of degree r with F <= E + work, D - F is equivalent to E + work - F,
-    which is effective.  F is a sorted tuple of r positions and the walk
+    which is effective.  F is a sorted tuple of r vertices and the walk
     checks it as E' + w, E' = F[:-1] and w = F[-1], so F is recorded as bit
     w of ``ahead[E']``, and only when E' is E or after it: ``ahead`` holds
     no F the walk has passed.  With the deg D chips of E + work sorted into
@@ -410,9 +415,9 @@ def _certify(ahead, ends, removed, work, position) -> None:
     """
     held = list(removed)
     for v in compress(range(len(work)), work):
-        held += [position[v]] * work[v]
+        held += [v] * work[v]
     held.sort()
-    roots = [0] * (len(held) + 1)  # roots[i]: the positions held[i:], as a bitmask
+    roots = [0] * (len(held) + 1)  # roots[i]: the vertices held[i:], as a bitmask
     for i in range(len(held) - 1, -1, -1):
         roots[i] = roots[i + 1] | 1 << held[i]
     for head, end in zip(combinations(held, len(removed)), ends):
@@ -425,32 +430,13 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
 
     -1 when D is not winnable.  Otherwise the largest r <= deg D such that
     D - F is winnable for every effective F of degree r, the criterion of
-    Baker and Norine.  The vertices are numbered by their position in the
-    depth-first order from q = 0, and each F is split once as F = E + w: E
-    of degree r - 1, a multiset of positions in lexicographic order, and w
-    a root at or after the last position of E.  D - F is winnable iff some
-    effective divisor equivalent to D - E has a chip on w, and each check
-    reduces toward w only until it reaches one; it reduces to the end only
-    when the answer is no, since the w-reduced form has the most chips on w.
-    For each E, the first check starts from the divisor the first check of
-    the last E checked left, plus E_prev - E, and each later root of the
-    suffix from the divisor the previous check left.  Every start is in the
-    class of D - E, so the warm starts change no answer.
-
-    A check that succeeds leaves an effective divisor H equivalent to D - E.
-    Then E + H is effective and equivalent to D, and for every effective F
-    of degree r with F <= E + H, D - F is equivalent to E + H - F >= 0, so
-    D - F is winnable.  Each such F that lies after the current E + w in the
-    walk is recorded under its own split E' + w' and skipped when the walk
-    reaches it; a skip only passes over an F whose answer is yes, so no
-    answer changes.  The record holds one bitmask of roots per E' still
-    ahead and drops it when the walk reaches E', so it grows with the checks
-    made, not with the F there are.  An E whose roots are all skipped
-    leaves the seed as it was, still in the class of D minus the E that
-    left it, so the next E starts in its own class and settles any debt.  A
-    level fails at the first F reached, never a recorded one, where no
-    equivalent effective divisor has a chip on w.  The orders are fixed, so
-    runs are deterministic.  Degrees above ``degree_cap`` raise
+    Baker and Norine.  Each F is split once as F = E + w, E of degree r - 1
+    in lexicographic order of vertex numbers and w a root at or after the
+    last vertex of E, and an F below a divisor an earlier check left is
+    skipped; the module docstring gives the argument.  Any numbering of the
+    vertices gives the same rank and changes only the speed; the depth-first
+    preorder of :func:`subdivide_chain` keeps consecutive roots adjacent.
+    Runs are deterministic.  Degrees above ``degree_cap`` raise
     :class:`OracleTooLargeError`, as do more than :data:`ORACLE_CHIP_CAP`
     chips.
     """
@@ -465,13 +451,9 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     effective = _chip_list(graph, config)
     if not _reaches(adjacency, effective, q, 0):
         return -1
-    walk = _dfs_order(adjacency, q)
-    position = [0] * n
-    for p, v in enumerate(walk):
-        position[v] = p
 
     def every_split_keeps_a_chip(r: int) -> bool:
-        # E -> the roots p with E + p certified, as a bitmask, for E still ahead
+        # E -> the roots w with E + w certified, as a bitmask, for E still ahead
         ahead: dict[tuple[int, ...], int] = {}
         ends = [c[-1] + 1 if c else 0 for c in combinations(range(degree), r - 1)]
         # an effective divisor equivalent to D, with E_prev = (), seeds the first E
@@ -479,19 +461,19 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
         for removed in combinations_with_replacement(range(n), r - 1):
             skip = ahead.pop(removed, 0)
             work = list(seed)
-            for p in seed_removed:
-                work[walk[p]] += 1
-            for p in removed:
-                work[walk[p]] -= 1
+            for v in seed_removed:
+                work[v] += 1
+            for v in removed:
+                work[v] -= 1
             first = removed[-1] if removed else 0
-            for p in range(first, n):
-                if skip >> p & 1:
+            for w in range(first, n):
+                if skip >> w & 1:
                     continue
-                if not _reaches(adjacency, work, walk[p], 1):
+                if not _reaches(adjacency, work, w, 1):
                     return False
                 if seed_removed != removed:  # the first check of this E
                     seed, seed_removed = list(work), removed
-                _certify(ahead, ends, removed, work, position)
+                _certify(ahead, ends, removed, work)
                 skip |= ahead.pop(removed, 0)  # the roots of this E it certified
         return True
 

@@ -20,7 +20,7 @@ from .tropical import (
     TropicalDivisor,
     TropVanishingTable,
     chain_point_key,
-    solve_special_point,
+    special_multiplicity,
 )
 
 
@@ -142,9 +142,9 @@ def render_divisor(
 
 def _speciality(geom: ChainGeometry, pt: Interior, degree: int) -> str:
     k = pt.loop
-    for u in range(max(degree, 0) + 1):
-        if solve_special_point(geom, k, u) == pt:
-            return f"  ({u}·Q_{k - 1} + x_{k} = {u + 1}·Q_{k} in Pic)"
+    u = special_multiplicity(geom, k, pt.coord)
+    if u is not None and u <= degree:
+        return f"  ({u}·Q_{k - 1} + x_{k} = {u + 1}·Q_{k} in Pic)"
     return "  (generic)"
 
 

@@ -335,6 +335,27 @@ def solve_special_point(geom: ChainGeometry, k: int, u: int) -> ChainPoint:
     return point_on_loop(geom, k, (u + 1) * geom.ell(k))
 
 
+def special_multiplicity(geom: ChainGeometry, k: int, coord: Fraction) -> int | None:
+    """The least u >= 0 with (u + 1) * l_k = coord mod c_k, or None.  Constant time.
+
+    That is the least u for which :func:`solve_special_point` gives the point
+    of loop k at ``coord``.  In units of 1/n, with h = gcd(l_k, c_k), coord
+    is such a multiple iff h divides it, and then u + 1 = (coord / h) *
+    (l_k / h)^-1 modulo c_k / h; the least u >= 0 is that residue less one,
+    taken modulo c_k / h.
+    """
+    if not 1 <= k <= geom.g:
+        raise ValueError(f"loop {k} outside 1..{geom.g}")
+    coord = Fraction(coord)
+    ell, c, n = _scale(*geom.lengths[k - 1], coord.denominator)
+    x = coord.numerator * (n // coord.denominator)
+    h = gcd(ell, c)
+    if x % h:
+        return None
+    m = c // h
+    return ((x // h) * pow(ell // h, -1, m) - 1) % m
+
+
 @dataclass(frozen=True)
 class TropVanishingTable:
     """Vanishing orders u_t(i) at the nodes plus per-loop reduction data.
@@ -453,29 +474,18 @@ def divisor_from_tableau(
 def _sample_generic_point(
     geom: ChainGeometry, k: int, d: int, rng: random.Random
 ) -> Interior:
-    ell, c, n = _scale(*geom.lengths[k - 1])
+    _, c, n = _scale(*geom.lengths[k - 1])
     # in units of 1/n the special coordinates are (u + 1) * l mod c, and the
     # candidate c * j / 1009 is one of them only if 1009 divides c * j
     for _ in range(_SAMPLE_RETRIES):
         j = rng.randrange(1, _SAMPLE_DENOMINATOR)
-        coord, rest = divmod(c * j, _SAMPLE_DENOMINATOR)
-        if rest or not _is_special(ell, c, d, coord):
-            return Interior(k, Fraction(c * j, n * _SAMPLE_DENOMINATOR))
+        coord = Fraction(c * j, n * _SAMPLE_DENOMINATOR)
+        if c * j % _SAMPLE_DENOMINATOR:
+            return Interior(k, coord)
+        u = special_multiplicity(geom, k, coord)
+        if u is None or u > d:
+            return Interior(k, coord)
     raise SamplingError(f"loop {k}: could not sample a generic point")
-
-
-def _is_special(ell: int, c: int, d: int, x: int) -> bool:
-    """Is x = (u + 1) * ell mod c for some u in 0..d?  Constant time in d.
-
-    With h = gcd(ell, c), x is a multiple (u + 1) * ell mod c iff h divides
-    x, and then u + 1 = (x / h) * (ell / h)^-1 modulo c / h; the least such
-    u >= 0 is that residue less one, taken modulo c / h.
-    """
-    h = gcd(ell, c)
-    if x % h:
-        return False
-    m = c // h
-    return ((x // h) * pow(ell // h, -1, m) - 1) % m <= d
 
 
 def _least_carries(

@@ -145,7 +145,6 @@ def run_suite(
     geometries_per_param: int = 3,
     oracle_winnability_trials: int = 60,
     oracle_rank_trials: int = 15,
-    subdiv_cap: int = 100_000,
 ) -> SuiteResult:
     _check_sweep_size(
         g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
@@ -178,7 +177,7 @@ def run_suite(
                 )
 
     oracle_trials = _oracle_trials(
-        rng, g_max, oracle_winnability_trials, oracle_rank_trials, subdiv_cap
+        rng, g_max, oracle_winnability_trials, oracle_rank_trials
     )
     for check, geom, divisor, tropical_side, oracle_side in oracle_trials:
         result.checks_run += 1
@@ -286,7 +285,6 @@ def _oracle_trials(
     g_max: int,
     winnability_trials: int,
     rank_trials: int,
-    subdiv_cap: int,
 ):
     """Per oracle trial, ``(check, geometry, divisor, tropical answer, oracle answer)``."""
     g_cap = min(g_max, 4)
@@ -299,7 +297,7 @@ def _oracle_trials(
             continue
         done += 1
         tropical_side = is_equivalent_to_effective(geom, divisor)
-        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points], subdiv_cap)
+        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
         oracle_side = is_winnable(graph, chips_from_divisor(graph, divisor), 0)
         yield "winnability agreement", geom, divisor, tropical_side, oracle_side
     done = 0
@@ -314,6 +312,6 @@ def _oracle_trials(
             continue
         done += 1
         tropical_side = tropical_rank(geom, divisor)
-        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points], subdiv_cap)
+        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
         oracle_side = bn_rank(graph, chips_from_divisor(graph, divisor))
         yield "rank agreement", geom, divisor, tropical_side, oracle_side

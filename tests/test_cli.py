@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
 from bnchains import serialize as ser
-from bnchains.cli import ORACLE_CHIP_CAP, SERIES_CAP, _write_json_list, main
+from bnchains.cli import ORACLE_CHIP_CAP, SERIES_CAP, _write_json_list, build_parser, main
 from bnchains.verify import RANK_TRIAL_CAP
 
 from worked_example import tableau_662
@@ -733,6 +734,25 @@ def test_tropical_divisor_samples_in_time_independent_of_d(capsys, tmp_path):
     assert point["loop"] == 1
 
 
+def test_tropical_divisor_table_legend_in_time_linear_in_points(capsys, tmp_path):
+    # each of the 1,000 free points is annotated by one closed-form test,
+    # not by trying u = 0..deg D, a search that took 13-16 s at this size
+    g = 2_000
+    tab_path = tmp_path / "tableau.json"
+    tab_path.write_text(json.dumps({"g": g, "d": 1_000, "r": 0, "rows": [[i] for i in range(1, 1_001)]}))
+    geom_path = tmp_path / "geom.json"
+    loops = [{"l": f"{2 * g - 2 + k}/1", "m": "1/1"} for k in range(g)]
+    geom_path.write_text(json.dumps({"g": g, "loops": loops}))
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "tropical", "divisor", "--tableau", str(tab_path),
+        "--geometry", str(geom_path), "--format", "table",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.count("(generic)") == 1_000
+
+
 def test_tropical_divisor_refuses_series_over_the_cap(capsys, tmp_path):
     elapsed, code, out, err = _tropical_divisor_run(
         capsys, tmp_path, {"g": 1, "d": 10**18 + 1, "r": 10**18, "rows": []}
@@ -867,3 +887,24 @@ def test_verify_disagreement_exits_three(capsys, monkeypatch):
 def test_missing_file_exit_one(capsys):
     code, _, err = run(capsys, "eh", "--tableau", "/nonexistent.json")
     assert code == 1
+
+
+def _readme_cli_lines():
+    """The ``bnchains ...`` lines of README's CLI block, comments, pipes and
+    redirections cut off; lines with a ``...`` placeholder are left out."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].split("|", 1)[0].split(">", 1)[0].strip()
+        if line.startswith("bnchains ") and "..." not in line:
+            yield line
+
+
+def test_readme_cli_lines_parse():
+    # every documented command line is accepted by the parser, so a flag
+    # removed from the CLI cannot stay in the README
+    lines = list(_readme_cli_lines())
+    assert len(lines) >= 12, lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

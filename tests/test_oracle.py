@@ -36,7 +36,6 @@ from bnchains.oracle import (
     DiscreteGraph,
     _bfs_distances,
     _burn,
-    _dfs_order,
     _fire_unburnt,
     _reaches,
     _settle_debt,
@@ -80,6 +79,44 @@ def test_subdivide_registers_markers():
     assert graph.vertex_of(Node(1)) == 26
     with pytest.raises(ValueError):
         graph.vertex_of(Interior(1, F(1, 3)))
+
+
+def _depth_first_preorder(adjacency):
+    """The vertices in depth-first preorder from 0, neighbours in list order."""
+    seen = [False] * len(adjacency)
+    order = []
+    stack = [iter([0])]
+    while stack:
+        for v in stack[-1]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+                stack.append(iter(adjacency[v]))
+                break
+        else:
+            stack.pop()
+    return order
+
+
+def test_subdivide_numbers_vertices_in_depth_first_preorder():
+    # bn_rank walks the roots in vertex order and is fastest when
+    # consecutive roots are adjacent; its answers do not depend on it.
+    # Half-integer arcs give parallel edges, and arcs of one unit put Q_k
+    # one edge from either end of its loop
+    rng = random.Random(15)
+    lengths = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(7)]
+    seen_q_next_to_end = set()
+    for _ in range(300):
+        geom = ChainGeometry(
+            tuple((rng.choice(lengths), rng.choice(lengths)) for _ in range(rng.randrange(1, 6)))
+        )
+        graph = subdivide_chain(geom)
+        assert _depth_first_preorder(graph.adjacency) == list(range(graph.vertex_count)), geom
+        for l, m in geom.lengths:
+            seen_q_next_to_end.update(
+                side for side, arc in (("l", l), ("m", m)) if arc * graph.scale == 1
+            )
+    assert seen_q_next_to_end == {"l", "m"}
 
 
 def test_subdivide_cap():
@@ -317,8 +354,8 @@ def _all_roots_bn_rank(graph, config):
     """Reference rank: each effective E of degree r - 1 against every root.
 
     D - E is reduced cold at q = 0 and re-reduced in place as the root walks
-    all vertices in depth-first order, so an F of degree r is checked once
-    for each of its splits F = E + w.
+    all vertices in turn, so an F of degree r is checked once for each of
+    its splits F = E + w.
     """
     degree = config.degree
     adjacency = graph.adjacency
@@ -331,13 +368,12 @@ def _all_roots_bn_rank(graph, config):
     _reduce_in_place(adjacency, reduced, q)
     if reduced[q] < 0:
         return -1
-    walk = _dfs_order(adjacency, q)
 
     def every_root_keeps_a_chip(removed):
         work = list(base)
         for v in removed:
             work[v] -= 1
-        for w in walk:
+        for w in range(n):
             _reduce_in_place(adjacency, work, w)
             if work[w] < 1:
                 return False
@@ -411,9 +447,9 @@ def test_bn_rank_matches_all_roots_walk_at_rank_two_and_up(monkeypatch):
     recorded = []
     original_certify = oracle._certify
 
-    def recording_certify(ahead, ends, removed, work, position):
+    def recording_certify(ahead, ends, removed, work):
         before = dict(ahead)
-        original_certify(ahead, ends, removed, work, position)
+        original_certify(ahead, ends, removed, work)
         assert min(ahead, default=removed) >= removed  # nothing behind the walk
         for head, roots in ahead.items() - before.items():
             new = 0 if head == removed else roots & ~before.get(head, 0)
@@ -437,11 +473,10 @@ def test_bn_rank_matches_all_roots_walk_at_rank_two_and_up(monkeypatch):
         rank = bn_rank(graph, cfg)
         assert rank == _all_roots_bn_rank(graph, cfg), (geom, cfg)
         ranks.append(rank)
-        walk = _dfs_order(graph.adjacency, 0)
         for f in rng.sample(recorded, min(len(recorded), 40)):
             chips = [cfg[v] for v in range(graph.vertex_count)]
-            for p in f:
-                chips[walk[p]] -= 1
+            for v in f:
+                chips[v] -= 1
             _reduce_in_place(graph.adjacency, chips, 0)
             assert chips[0] >= 0, (geom, cfg, f)
         cross += len(recorded)
@@ -463,8 +498,9 @@ def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     # on a tree D - F is winnable whenever its degree is >= 0, so every level
     # passes: one root check for D and at most one per effective F of degree
     # 1..deg D, fewer as an F below a divisor an earlier check left is
-    # skipped (450 when only the roots of the same E were).  The relabelling
-    # puts the walk out of vertex order.
+    # skipped (450 when only the roots of the same E were, 434 when the walk
+    # followed a depth-first order of its own).  The relabelling numbers the
+    # tree out of depth-first order, which moves no answer, only the count.
     rng = random.Random(4)
     n = 12
     edges = [(rng.randrange(v), v, 1) for v in range(1, n)]
@@ -472,10 +508,10 @@ def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     perm = list(range(n))
     rng.shuffle(perm)
     graph, cfg = _relabelled(tree, ChipConfig({3: 2, 7: 1}), perm)
-    assert _dfs_order(graph.adjacency, 0) != list(range(n))
+    assert _depth_first_preorder(graph.adjacency) != list(range(n))
     calls = _count_calls(monkeypatch, "_reaches")
     assert bn_rank(graph, cfg) == 3
-    assert calls[0] == 434 < 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
+    assert calls[0] == 426 < 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
 
 
 def _first_failing_level(adjacency, chips):
@@ -504,9 +540,9 @@ def _first_failing_level(adjacency, chips):
 def test_bn_rank_checks_the_one_failing_divisor():
     # at the failing level of these configurations D - F is winnable for all
     # effective F but one, so bn_rank returns the lower rank only if the F it
-    # checks include that one; relabellings move vertex 0 and the walk out of
-    # vertex order, so a split that mixed vertex numbers with walk positions
-    # would check another set of F
+    # checks include that one; relabellings move vertex 0 and number the
+    # vertices out of depth-first order, so a split that depended on the
+    # numbering would check another set of F
     rng = random.Random(31)
     found = {}
     for _ in range(400):
@@ -557,9 +593,10 @@ def _relabelling_case(draw):
 @given(_relabelling_case())
 @settings(max_examples=150, deadline=None)
 def test_bn_rank_is_invariant_under_relabelling(case):
-    # moving vertex 0 moves q and the walk out of vertex order; a split
-    # F = E + w or a seed that mixed vertex numbers with walk positions
-    # would check the wrong F
+    # any numbering of the vertices gives the same rank: moving vertex 0
+    # moves q, and the walk then follows no depth-first order, so a split
+    # F = E + w or a seed that depended on the numbering would check the
+    # wrong F
     graph, cfg, perm = case
     rank = bn_rank(graph, cfg)
     assert bn_rank(*_relabelled(graph, cfg, perm)) == rank

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from bnchains import (
     tropical_rank,
     tropical_vanishing_table,
 )
-from bnchains.tropical import _MAX_SWEEP_WIDTH, _is_special, _loop_step, _split
+from bnchains.tropical import _MAX_SWEEP_WIDTH, _loop_step, _split, special_multiplicity
 
 from worked_example import (
     PARAMS_662,
@@ -291,7 +292,7 @@ def test_divisor_from_tableau_generic_sampling_deterministic():
     assert x.coord not in specials and x.coord not in (F(0), l)
 
 
-def test_is_special_matches_the_set_of_special_residues():
+def test_special_multiplicity_matches_the_set_of_special_residues():
     # reference: list the d + 1 special residues (u + 1) * l mod c
     rng = random.Random(11)
     for _ in range(3_000):
@@ -300,7 +301,34 @@ def test_is_special_matches_the_set_of_special_residues():
         d = rng.choice([0, 1, 2, rng.randrange(0, 3 * c)])
         x = rng.randrange(0, c)
         specials = {(u + 1) * ell % c for u in range(d + 1)}
-        assert _is_special(ell, c, d, x) == (x in specials), (ell, c, d, x)
+        u = special_multiplicity(ChainGeometry(((F(ell), F(c - ell)),)), 1, F(x))
+        assert (u is not None and u <= d) == (x in specials), (ell, c, d, x)
+
+
+def test_special_multiplicity_is_the_least_u_solve_special_point_gives():
+    # reference: try u = 0, 1, ... through solve_special_point; in units of
+    # 1/n the point (u + 1) * l mod c repeats within c * n steps.  Small
+    # loops are far from generic (l / m = 1, 2, 1/2, ...), so many
+    # coordinates are special for several u
+    rng = random.Random(15)
+    lengths = [F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3), F(5, 6)]
+    found = 0
+    for _ in range(2_000):
+        geom = ChainGeometry(tuple((rng.choice(lengths), rng.choice(lengths)) for _ in range(2)))
+        k = rng.randrange(1, 3)
+        c = geom.circumference(k)
+        if rng.random() < 0.5:
+            coord = rng.randrange(1, 20) * geom.ell(k) % c
+        else:
+            coord = c * F(rng.randrange(0, 24), 24)
+        pt = point_on_loop(geom, k, coord)
+        n = lcm(*(x.denominator for x in (*geom.lengths[k - 1], coord)))
+        least = next(
+            (u for u in range(int(c * n)) if solve_special_point(geom, k, u) == pt), None
+        )
+        assert special_multiplicity(geom, k, coord) == least, (geom, k, coord)
+        found += least is not None
+    assert 1_000 < found < 2_000, found
 
 
 def test_rank_examples_on_circle():
