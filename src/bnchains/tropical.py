@@ -9,15 +9,16 @@ Linear equivalence on a single loop is class arithmetic in the circle group
 R/(c_k Z): two divisors of equal degree are equivalent iff the weighted sums
 of their coordinates agree mod c_k.  Everything here (reduction, effectivity,
 special points, vanishing tables, rank) reduces to that one fact, which is why
-all lengths and coordinates are Fractions and no floats appear anywhere.  The
-inner loops scale loop k by the lcm n_k of its denominators and run on
-integers; Fractions appear again only in the points they return.
+all lengths and coordinates are Fractions and no floats appear anywhere.  A
+geometry holds each loop in integer units of 1/n_k, n_k the lcm of the
+denominators of l_k and m_k, so the inner loops run on integers; Fractions
+appear again only in the points they return.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
@@ -44,7 +45,7 @@ class TropicalTooLargeError(RuntimeError):
 
 # Widest rank sweep or vanishing table built, one list entry per step of r.
 # At the cap a sweep holds about 40 MB and, for N * Q_0 on six loops, takes
-# about 3.4 s (Python 3.11, 2 cores).
+# about 1.7 s (Python 3.11, 2 cores).
 _MAX_SWEEP_WIDTH = 10**6
 
 
@@ -55,22 +56,38 @@ def _check_width(width: int) -> None:
         )
 
 
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction; floats and bools are refused with ``ValueError``."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"expected an exact rational, got {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class ChainGeometry:
-    """Arc lengths (l_k, m_k) of the g loops, all positive exact rationals."""
+    """Arc lengths (l_k, m_k) of the g loops, all positive exact rationals.
+
+    ``_units[k-1]`` is loop k as integers ``(l_k, c_k, n_k)`` in units of
+    1/n_k (``_scale``), fixed at construction and left out of ``==``,
+    ``hash`` and ``repr``.
+    """
 
     lengths: tuple[tuple[Fraction, Fraction], ...]
+    _units: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        lengths = tuple(
-            (Fraction(l), Fraction(m)) for l, m in self.lengths
-        )
+        lengths = tuple((_exact(l), _exact(m)) for l, m in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if not lengths:
             raise ValueError("chain needs at least one loop")
         for k, (l, m) in enumerate(lengths, start=1):
-            if l <= 0 or m <= 0:
+            if l.numerator <= 0 or m.numerator <= 0:
                 raise ValueError(f"loop {k}: lengths must be positive, got ({l}, {m})")
+        object.__setattr__(self, "_units", tuple(_scale(l, m) for l, m in lengths))
 
     @property
     def g(self) -> int:
@@ -106,10 +123,11 @@ class Interior:
     coord: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coord", Fraction(self.coord))
+        if not isinstance(self.coord, Fraction):
+            object.__setattr__(self, "coord", _exact(self.coord))
         if self.loop < 1:
             raise ValueError(f"loop index must be >= 1, got {self.loop}")
-        if self.coord <= 0:
+        if self.coord.numerator <= 0:
             raise ValueError(f"interior coordinate must be positive, got {self.coord}")
 
 
@@ -120,7 +138,7 @@ def point_on_loop(geom: ChainGeometry, k: int, coord: Fraction) -> ChainPoint:
     """Canonical point of loop k at ``coord`` (any rational, reduced mod c_k)."""
     if not 1 <= k <= geom.g:
         raise ValueError(f"loop {k} outside 1..{geom.g}")
-    x = Fraction(coord) % geom.circumference(k)
+    x = _exact(coord) % geom.circumference(k)
     if x == 0:
         return Node(k - 1)
     if x == geom.ell(k):
@@ -131,7 +149,7 @@ def point_on_loop(geom: ChainGeometry, k: int, coord: Fraction) -> ChainPoint:
 def chain_point_key(pt: ChainPoint) -> tuple:
     """Sort key placing points in left-to-right chain order."""
     if isinstance(pt, Node):
-        return (pt.index, 0, Fraction(0))
+        return (pt.index, 0, 0)
     return (pt.loop - 1, 1, pt.coord)
 
 
@@ -201,9 +219,9 @@ def check_genericity(geom: ChainGeometry) -> GenericityReport:
     """
     bound = 2 * geom.g - 2
     failing = []
-    for k in range(1, geom.g + 1):
-        ratio = geom.ell(k) / geom.em(k)
-        if max(ratio.numerator, ratio.denominator) < bound:
+    for k, (ell, c, _) in enumerate(geom._units, start=1):
+        # p/q is l_k : (c_k - l_k) in the loop's units, divided by their gcd
+        if max(ell, c - ell) // gcd(ell, c) < bound:
             failing.append(k)
     return GenericityReport(not failing, tuple(failing))
 
@@ -224,12 +242,12 @@ class ReducedChain:
 _Loop = tuple[int, int, int, int, int]
 
 
-def _scale(l: Fraction, m: Fraction, *denominators: int) -> tuple[int, int, int]:
+def _scale(l: Fraction, m: Fraction) -> tuple[int, int, int]:
     """``(l, c, n)``: a loop's l and c = l + m as integers in units of 1/n.
 
-    n is the lcm of the denominators of l and m and of ``denominators``.
+    n is the lcm of the denominators of l and m.
     """
-    n = lcm(l.denominator, m.denominator, *denominators)
+    n = lcm(l.denominator, m.denominator)
     ell = l.numerator * (n // l.denominator)
     return ell, ell + m.numerator * (n // m.denominator), n
 
@@ -241,14 +259,14 @@ def _split(
 
     Interior points enter only through their loop's degree and class in
     R/(c_k Z), which is all the right-to-left sweeps below need.  Loop k is
-    measured in units of 1/n_k, the lcm of the denominators of l_k, m_k and
-    the coordinates on it, so its class, l_k and c_k are integers and every
-    later step on it is integer arithmetic.  Points outside the chain raise
-    ``ValueError``.
+    measured in units of 1/n_k: the geometry's n_k, widened to a multiple of
+    the denominator of every coordinate on it, so its class, l_k and c_k are
+    integers and every later step on it is integer arithmetic.  Points
+    outside the chain raise ``ValueError``.
     """
     g = geom.g
     node_mult = [0] * (g + 1)
-    on_loop: list[list[tuple[Fraction, int]]] = [[] for _ in range(g)]
+    loops = [[0, 0, ell, c, n] for ell, c, n in geom._units]
     for pt, mult in divisor.points:
         if isinstance(pt, Node):
             if pt.index > g:
@@ -257,13 +275,14 @@ def _split(
         else:
             if pt.loop > g:
                 raise ValueError(f"loop {pt.loop} outside chain of genus {g}")
-            on_loop[pt.loop - 1].append((pt.coord, mult))
-    loops = []
-    for (l, m), points in zip(geom.lengths, on_loop):
-        ell, c, n = _scale(l, m, *(x.denominator for x, _ in points))
-        cls = sum(x.numerator * (n // x.denominator) * mult for x, mult in points)
-        loops.append((sum(mult for _, mult in points), cls % c, ell, c, n))
-    return node_mult, loops
+            loop = loops[pt.loop - 1]
+            den = pt.coord.denominator
+            f = den // gcd(loop[4], den)
+            if f > 1:  # widen n_k to a multiple of den, with class, l_k and c_k
+                loop[1:] = [v * f for v in loop[1:]]
+            loop[0] += mult
+            loop[1] += pt.coord.numerator * (loop[4] // den) * mult
+    return node_mult, [(deg, cls % c, l, c, n) for deg, cls, l, c, n in loops]
 
 
 def _loop_step(loop: _Loop, carry: int) -> tuple[int, int]:
@@ -328,11 +347,20 @@ def is_equivalent_to_effective(geom: ChainGeometry, divisor: TropicalDivisor) ->
 def solve_special_point(geom: ChainGeometry, k: int, u: int) -> ChainPoint:
     """The unique x on loop k with u * Q_{k-1} + x equivalent to (u+1) * Q_k.
 
-    Solving in the circle class group gives coord(x) = (u+1) * l_k mod c_k.
+    Solving in the circle class group gives coord(x) = (u+1) * l_k mod c_k,
+    one integer ``%`` in the loop's units of 1/n_k.
     """
     if u < 0:
         raise ValueError(f"multiplicity must be >= 0, got {u}")
-    return point_on_loop(geom, k, (u + 1) * geom.ell(k))
+    if not 1 <= k <= geom.g:
+        raise ValueError(f"loop {k} outside 1..{geom.g}")
+    ell, c, n = geom._units[k - 1]
+    x = (u + 1) * ell % c
+    if x == 0:
+        return Node(k - 1)
+    if x == ell:
+        return Node(k)
+    return Interior(k, Fraction(x, n))
 
 
 def special_multiplicity(geom: ChainGeometry, k: int, coord: Fraction) -> int | None:
@@ -346,8 +374,10 @@ def special_multiplicity(geom: ChainGeometry, k: int, coord: Fraction) -> int | 
     """
     if not 1 <= k <= geom.g:
         raise ValueError(f"loop {k} outside 1..{geom.g}")
-    coord = Fraction(coord)
-    ell, c, n = _scale(*geom.lengths[k - 1], coord.denominator)
+    coord = _exact(coord)
+    ell, c, n = geom._units[k - 1]
+    f = coord.denominator // gcd(n, coord.denominator)
+    ell, c, n = ell * f, c * f, n * f
     x = coord.numerator * (n // coord.denominator)
     h = gcd(ell, c)
     if x % h:
@@ -399,7 +429,8 @@ def tropical_vanishing_table(
         )
     reduced = _reduced_chain(u0, loops, sigmas)
     u = list(range(u0, u0 - r - 1, -1))
-    rows = [VanishingSequence(tuple(u))]
+    # rows are valid sequences: this one as u0 >= r, the rest by the check below
+    rows = [VanishingSequence._trusted(tuple(u))]
     tags = []
     for i, ((_, _, l, c, _), sigma) in enumerate(zip(loops, sigmas), start=1):
         if sigma == 0:
@@ -431,7 +462,7 @@ def tropical_vanishing_table(
             raise RankDeficiencyError(
                 f"rank deficiency at loop {i}: orders {tuple(u)} lose shape"
             )
-        rows.append(VanishingSequence(tuple(u)))
+        rows.append(VanishingSequence._trusted(tuple(u)))
     return TropVanishingTable(
         tuple(rows), reduced.epsilon, reduced.x, tuple(tags)
     )
@@ -474,7 +505,7 @@ def divisor_from_tableau(
 def _sample_generic_point(
     geom: ChainGeometry, k: int, d: int, rng: random.Random
 ) -> Interior:
-    _, c, n = _scale(*geom.lengths[k - 1])
+    _, c, n = geom._units[k - 1]
     # in units of 1/n the special coordinates are (u + 1) * l mod c, and the
     # candidate c * j / 1009 is one of them only if 1009 divides c * j
     for _ in range(_SAMPLE_RETRIES):
@@ -517,13 +548,15 @@ def _least_carries(
     g = geom.g
     best = [node_mult[g] - j for j in range(width + 1)]
     for k in range(g, 0, -1):
-        loop = loops[k - 1]
+        degree, cls, l, c, _ = loops[k - 1]
         base = node_mult[k - 1]
-        lowest = None
+        # running minimum of moved(k, best[i]) + i, the _loop_step formula
+        # inline; it starts at an upper bound of its j = 0 term
+        lowest = degree + best[0]
         for j, carry in enumerate(best):
-            moved = _loop_step(loop, carry)[0]
-            if lowest is None or moved + j < lowest:
-                lowest = moved + j
+            step = degree + carry + j - ((cls + carry * l) % c != 0)
+            if step < lowest:
+                lowest = step
             best[j] = base + lowest - j
     return best
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -28,7 +30,15 @@ from bnchains import (
     tropical_rank,
     tropical_vanishing_table,
 )
-from bnchains.tropical import _MAX_SWEEP_WIDTH, _loop_step, _split, special_multiplicity
+from bnchains import serialize
+from bnchains.tropical import (
+    _MAX_SWEEP_WIDTH,
+    _least_carries,
+    _loop_step,
+    _split,
+    special_multiplicity,
+)
+from bnchains.verify import random_generic_geometry, sweep_params
 
 from worked_example import (
     PARAMS_662,
@@ -593,3 +603,180 @@ def test_sweep_width_cap():
     # the cap is on the sweep's width, not on the divisor
     assert rank_at_least(geom, big, 5)
     assert tropical_vanishing_table(geom, big, 2).u[0].orders == (10**12, 10**12 - 1, 10**12 - 2)
+
+
+def test_geometry_units_are_invisible():
+    # the integer units a geometry holds are fixed by its lengths, and equal
+    # lengths given as ints, Fractions or other spellings of the same
+    # rationals give equal, equally hashed and equally printed geometries
+    spellings = [
+        ChainGeometry(((13, 1), (F(7, 2), 2))),
+        ChainGeometry(((F(13), F(1)), (F(7, 2), F(2)))),
+        ChainGeometry(((F(26, 2), F(3, 3)), (F(14, 4), F(8, 4)))),
+        ChainGeometry((("13", "1"), ("7/2", "2"))),
+    ]
+    first = spellings[0]
+    assert first._units == ((13, 14, 1), (7, 11, 2))
+    for geom in spellings:
+        assert geom == first and hash(geom) == hash(first)
+        assert repr(geom) == repr(first) and "_units" not in repr(geom)
+        assert geom._units == first._units
+        assert json.dumps(serialize.geometry_to_obj(geom)) == json.dumps(
+            serialize.geometry_to_obj(first)
+        )
+    assert len(set(spellings)) == 1
+    assert first != ChainGeometry(((13, 1), (F(7, 2), 3)))
+
+
+def test_floats_and_bools_are_refused():
+    geom = circle()
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(ValueError):
+            ChainGeometry(((bad, 1),))
+        with pytest.raises(ValueError):
+            ChainGeometry(((1, bad),))
+        with pytest.raises(ValueError):
+            Interior(1, bad)
+        with pytest.raises(ValueError):
+            point_on_loop(geom, 1, bad)
+        with pytest.raises(ValueError):
+            special_multiplicity(geom, 1, bad)
+    assert Interior(1, 3) == Interior(1, "3") == Interior(1, F(3))
+    x = F(3, 2)
+    assert Interior(1, x).coord is x
+
+
+def _fractional_geometry(rng, g):
+    # arcs with denominators up to 6, half of them generic; the rest are
+    # small half-integer loops whose special points often land on nodes
+    if rng.random() < 0.5:
+        return _random_geometry(rng, g, generic=False)
+    def arc(top):
+        return F(rng.randrange(1, top), rng.randrange(1, 7))
+
+    return ChainGeometry(tuple((arc(30), arc(7)) for _ in range(g)))
+
+
+def _fractional_divisor(rng, geom):
+    support = {}
+    for _ in range(rng.randrange(0, 6)):
+        mult = rng.choice([-2, -1, 1, 1, 2, 3])
+        if rng.random() < 0.3:
+            pt = Node(rng.randrange(0, geom.g + 1))
+        else:
+            k = rng.randrange(1, geom.g + 1)
+            pt = point_on_loop(geom, k, F(rng.randrange(0, 200), rng.randrange(1, 10)))
+        support[pt] = support.get(pt, 0) + mult
+    return TropicalDivisor.from_dict(support)
+
+
+def test_solve_special_point_matches_point_on_loop():
+    rng = random.Random(31)
+    on_nodes = 0
+    for _ in range(400):
+        geom = _fractional_geometry(rng, rng.randrange(1, 4))
+        for k in range(-1, geom.g + 2):
+            for u in range(-2, 12):
+                if u < 0 or not 1 <= k <= geom.g:
+                    with pytest.raises(ValueError):
+                        solve_special_point(geom, k, u)
+                    continue
+                pt = solve_special_point(geom, k, u)
+                assert pt == point_on_loop(geom, k, (u + 1) * geom.ell(k)), (geom, k, u)
+                on_nodes += isinstance(pt, Node)
+    assert on_nodes > 1_000, on_nodes
+
+
+def _split_reference(geom, divisor):
+    """``_split`` from the Fractions: each loop scaled by the lcm of all its denominators."""
+    nodes = [0] * (geom.g + 1)
+    on_loop = [[] for _ in range(geom.g)]
+    for pt, mult in divisor.points:
+        if isinstance(pt, Node):
+            nodes[pt.index] += mult
+        else:
+            on_loop[pt.loop - 1].append((pt.coord, mult))
+    loops = []
+    for k, points in enumerate(on_loop, start=1):
+        l, m = geom.lengths[k - 1]
+        n = lcm(l.denominator, m.denominator, *(x.denominator for x, _ in points))
+        c = geom.circumference(k)
+        cls = sum(x * mult for x, mult in points) % c
+        loops.append((sum(mult for _, mult in points), cls * n, l * n, c * n, n))
+    return nodes, loops
+
+
+def _least_carries_reference(geom, divisor, width):
+    """The sweep of ``_least_carries`` as its docstring states it, through ``_loop_step``."""
+    nodes, loops = _split_reference(geom, divisor)
+    best = [nodes[geom.g] - j for j in range(width + 1)]
+    for k in range(geom.g, 0, -1):
+        best = [
+            nodes[k - 1]
+            + min(_loop_step(loops[k - 1], best[i])[0] - (j - i) for i in range(j + 1))
+            for j in range(width + 1)
+        ]
+    return best
+
+
+def test_integer_paths_match_fraction_references():
+    rng = random.Random(47)
+    scaled = 0
+    for _ in range(1_000):
+        geom = _fractional_geometry(rng, rng.randrange(1, 5))
+        ratios = [geom.ell(k) / geom.em(k) for k in range(1, geom.g + 1)]
+        failing = tuple(
+            k
+            for k, q in enumerate(ratios, start=1)
+            if max(q.numerator, q.denominator) < 2 * geom.g - 2
+        )
+        assert check_genericity(geom).failing_loops == failing, geom
+        divisor = _fractional_divisor(rng, geom)
+        nodes, loops = _split(geom, divisor)
+        assert (nodes, loops) == _split_reference(geom, divisor), (geom, divisor)
+        scaled += sum(n > unit for (_, _, _, _, n), (_, _, unit) in zip(loops, geom._units))
+        for width in range(0, max(divisor.degree, 0) + 3):
+            assert _least_carries(geom, divisor, width) == _least_carries_reference(
+                geom, divisor, width
+            ), (geom, divisor, width)
+    assert scaled > 300, scaled
+
+
+def _golden_outputs():
+    # every tableau with g <= 5, on two seeded generic geometries per (g, d, r)
+    # with fractional arcs, and two sampling seeds each
+    rng = random.Random(2017)
+    for params in sweep_params(5):
+        geoms = [random_generic_geometry(params.g, rng) for _ in range(2)]
+        for t in enumerate_tableaux(params):
+            for geom in geoms:
+                for seed in (0, 1):
+                    divisor = divisor_from_tableau(t, geom, seed=seed)
+                    red = reduce_to_q0(geom, divisor)
+                    yield {
+                        "divisor": serialize.divisor_to_obj(divisor),
+                        "table": serialize.table_to_obj(
+                            tropical_vanishing_table(geom, divisor, params.r)
+                        ),
+                        "reduced": [
+                            red.u,
+                            list(red.epsilon),
+                            [None if x is None else serialize.point_to_obj(x) for x in red.x],
+                        ],
+                        "rank": tropical_rank(geom, divisor),
+                    }
+
+
+def test_tableau_outputs_golden_digest():
+    # one SHA-256 over the divisor JSON, vanishing table (rows, epsilon, x and
+    # case tags), reduced representative and rank of every case above, so a
+    # change to any byte of them shows here
+    digest = hashlib.sha256()
+    count = 0
+    for entry in _golden_outputs():
+        digest.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (
+        524,
+        "a9435996377bcb3e61bc8305109e903bfea52e9e9c82197027382fe2c63a8b35",
+    )
