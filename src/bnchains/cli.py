@@ -28,6 +28,8 @@ from .effective import describe_concentration, eh_to_effective
 from .elliptic import check_eh_series, eh_series_from_tableau
 from .oracle import (
     ORACLE_CHIP_CAP,
+    ORACLE_DEGREE_CAP,
+    ORACLE_EDGE_CAP,
     OracleTooLargeError,
     bn_rank,
     chips_from_divisor,
@@ -88,11 +90,11 @@ def _check_series_size(params: BNParams) -> None:
         )
 
 
-def _load_tableau(path: str, args, *, series: bool = False):
+def _load_tableau(path: str, args):
     """Read a tableau file, cross-check it with the flags and validate it.
 
-    With ``series``, a tableau whose series would pass :data:`SERIES_CAP` is
-    refused before it is validated.
+    A tableau whose series would pass :data:`SERIES_CAP` is refused before
+    it is validated.
     """
     t = serialize.tableau_from_obj(_load_json(path))
     for flag in ("g", "d", "r"):
@@ -101,8 +103,7 @@ def _load_tableau(path: str, args, *, series: bool = False):
             raise CLIError(
                 f"--{flag} {given} does not match tableau file ({getattr(t.params, flag)})"
             )
-    if series:
-        _check_series_size(t.params)
+    _check_series_size(t.params)
     verdict = validate_tableau(t)
     if not verdict.ok:
         raise CLIError(f"invalid tableau: {verdict.problem}")
@@ -180,7 +181,7 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_eh(args) -> int:
-    t = _load_tableau(args.tableau, args, series=True)
+    t = _load_tableau(args.tableau, args)
     series = eh_series_from_tableau(t)
     if args.format == "json":
         _emit(serialize.eh_series_to_obj(series))
@@ -191,7 +192,7 @@ def cmd_eh(args) -> int:
 
 def cmd_effective(args) -> int:
     if args.tableau:
-        t = _load_tableau(args.tableau, args, series=True)
+        t = _load_tableau(args.tableau, args)
         series = eh_series_from_tableau(t)
         effective = eh_to_effective(series)
         desc = describe_concentration(t)
@@ -217,7 +218,7 @@ def cmd_effective(args) -> int:
 
 
 def cmd_tropical_divisor(args) -> int:
-    t = _load_tableau(args.tableau, args, series=True)
+    t = _load_tableau(args.tableau, args)
     geom = _load_geometry(args.geometry, args)
     divisor = divisor_from_tableau(t, geom, seed=args.seed)
     if args.format == "json":
@@ -248,12 +249,10 @@ def cmd_tropical_table(args) -> int:
 def cmd_oracle(args) -> int:
     geom = serialize.geometry_from_obj(_load_json(args.geometry))
     divisor = serialize.divisor_from_obj(_load_json(args.divisor), geom)
-    graph = subdivide_chain(
-        geom, [pt for pt, _ in divisor.points], subdiv_cap=args.subdiv_cap
-    )
+    graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
     chips = chips_from_divisor(graph, divisor)
     if args.oracle_command == "rank":
-        print(bn_rank(graph, chips, degree_cap=args.degree_cap))
+        print(bn_rank(graph, chips))
     else:
         print("true" if is_winnable(graph, chips, 0) else "false")
     return 0
@@ -347,16 +346,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "oracle",
-        help=f"chip-firing model queries on divisors of at most {ORACLE_CHIP_CAP} chips",
+        help=f"chip-firing model queries on divisors of at most {ORACLE_CHIP_CAP} chips, "
+        f"on at most {ORACLE_EDGE_CAP} unit edges; rank up to degree {ORACLE_DEGREE_CAP}",
     )
     osub = p.add_subparsers(dest="oracle_command", required=True)
     for name in ("rank", "winnable"):
         po = osub.add_parser(name)
         po.add_argument("--divisor", required=True, metavar="FILE")
         po.add_argument("--geometry", required=True, metavar="FILE")
-        po.add_argument("--subdiv-cap", dest="subdiv_cap", type=int, default=100_000)
-        if name == "rank":
-            po.add_argument("--degree-cap", dest="degree_cap", type=int, default=8)
         po.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the agreement suite")

@@ -62,9 +62,16 @@ from .tropical import ChainGeometry, ChainPoint, Interior, Node, TropicalDivisor
 # two loops never finished, and 10**4 take 0.1-1.4 s on 13-157 vertices
 ORACLE_CHIP_CAP = 10_000
 
+# subdivide_chain refuses a model of more unit edges than the first, at about
+# 0.28 KB an edge (a 200,000-edge loop peaked at 72 MB), and bn_rank a divisor
+# of higher degree than the second: d·Q_0 on the six loops of the README
+# geometry takes 0.03 s at d = 8, 0.5 s at 9 and 12.6 s at 10; 11 ran past 75 s
+ORACLE_EDGE_CAP = 100_000
+ORACLE_DEGREE_CAP = 8
+
 
 class OracleTooLargeError(RuntimeError):
-    """Requested model exceeds the configured subdivision, degree or chip caps."""
+    """A model past :data:`ORACLE_EDGE_CAP`, :data:`ORACLE_DEGREE_CAP` or :data:`ORACLE_CHIP_CAP`."""
 
 
 class DiscreteGraph:
@@ -108,9 +115,7 @@ class DiscreteGraph:
 
 
 def subdivide_chain(
-    geom: ChainGeometry,
-    extra_points: Iterable[ChainPoint] = (),
-    subdiv_cap: int = 100_000,
+    geom: ChainGeometry, extra_points: Iterable[ChainPoint] = ()
 ) -> DiscreteGraph:
     """Build the unit-edge model with every landmark on a vertex.
 
@@ -118,8 +123,10 @@ def subdivide_chain(
     extra-point coordinates, so placement is bit-exact.  The vertices are
     numbered in depth-first preorder from Q_0 = 0: loop k runs on from
     Q_{k-1} along the l-arc through Q_k and back around the m-arc, and loop
-    k + 1 starts at the next free number.  Raises
-    :class:`OracleTooLargeError` when N * sum(l_k + m_k) exceeds the cap.
+    k + 1 starts at the next free number.  An interior point off the chain,
+    on no loop 1..g or at a coordinate of at least l_k + m_k, raises
+    ``ValueError``.  Raises :class:`OracleTooLargeError` when
+    N * sum(l_k + m_k) exceeds :data:`ORACLE_EDGE_CAP`.
     """
     extras = list(extra_points)
     denominators = [1]
@@ -128,14 +135,16 @@ def subdivide_chain(
         denominators.append(m.denominator)
     for pt in extras:
         if isinstance(pt, Interior):
+            if pt.loop > geom.g or pt.coord >= geom.circumference(pt.loop):
+                raise ValueError(f"{pt} is off the chain; use point_on_loop(...)")
             denominators.append(pt.coord.denominator)
     scale = lcm(*denominators)
     total_units = sum(
         int(scale * (l + m)) for l, m in geom.lengths
     )
-    if total_units > subdiv_cap:
+    if total_units > ORACLE_EDGE_CAP:
         raise OracleTooLargeError(
-            f"subdivision needs {total_units} unit edges, cap is {subdiv_cap}"
+            f"subdivision needs {total_units} unit edges, cap is {ORACLE_EDGE_CAP}"
         )
     edges: list[tuple[int, int]] = []
     node_vertices = [0]
@@ -425,7 +434,7 @@ def _certify(ahead, ends, removed, work) -> None:
             ahead[head] = ahead.get(head, 0) | roots[end]
 
 
-def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> int:
+def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
     """Baker-Norine rank of the configuration D, by suffix walks of the root.
 
     -1 when D is not winnable.  Otherwise the largest r <= deg D such that
@@ -436,14 +445,14 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig, degree_cap: int = 8) -> in
     skipped; the module docstring gives the argument.  Any numbering of the
     vertices gives the same rank and changes only the speed; the depth-first
     preorder of :func:`subdivide_chain` keeps consecutive roots adjacent.
-    Runs are deterministic.  Degrees above ``degree_cap`` raise
+    Runs are deterministic.  Degrees above :data:`ORACLE_DEGREE_CAP` raise
     :class:`OracleTooLargeError`, as do more than :data:`ORACLE_CHIP_CAP`
     chips.
     """
     degree = config.degree
-    if degree > degree_cap:
+    if degree > ORACLE_DEGREE_CAP:
         raise OracleTooLargeError(
-            f"degree {degree} exceeds rank-search cap {degree_cap}"
+            f"degree {degree} exceeds rank-search cap {ORACLE_DEGREE_CAP}"
         )
     adjacency = graph.adjacency
     n = graph.vertex_count

@@ -113,10 +113,8 @@ def _term(mult: int, label: str) -> str:
     return label if mult == 1 else f"{mult}·{label}"
 
 
-def render_divisor(
-    divisor: TropicalDivisor, geom: ChainGeometry | None = None
-) -> str:
-    """Term-by-term rendering, with speciality annotations when ``geom`` given.
+def render_divisor(divisor: TropicalDivisor, geom: ChainGeometry) -> str:
+    """Term-by-term rendering, with a legend line for each interior point.
 
     An interior point of loop k at coordinate (u+1)*l_k mod c_k for some
     0 <= u <= deg is annotated with its node congruence; others are marked
@@ -131,13 +129,9 @@ def render_divisor(
             parts.append(_term(mult, point_label(pt)))
         else:
             parts.append(_term(mult, f"x_{pt.loop}"))
-            if geom is not None:
-                note = _speciality(geom, pt, divisor.degree)
-                legend.append(f"  x_{pt.loop} @ {_frac_label(pt.coord)}{note}")
-    head = " + ".join(parts)
-    if legend:
-        return head + "\n" + "\n".join(legend)
-    return head
+            note = _speciality(geom, pt, divisor.degree)
+            legend.append(f"  x_{pt.loop} @ {_frac_label(pt.coord)}{note}")
+    return "\n".join([" + ".join(parts), *legend])
 
 
 def _speciality(geom: ChainGeometry, pt: Interior, degree: int) -> str:

@@ -16,7 +16,6 @@ from .tableaux import BNParams, Tableau
 from .tropical import (
     ChainGeometry,
     ChainPoint,
-    Interior,
     Node,
     TropicalDivisor,
     TropVanishingTable,
@@ -234,15 +233,12 @@ def point_to_obj(pt: ChainPoint) -> dict:
     return {"loop": pt.loop, "coord": frac_to_str(pt.coord)}
 
 
-def point_from_obj(obj: dict, geom: ChainGeometry | None = None) -> ChainPoint:
+def point_from_obj(obj: dict, geom: ChainGeometry) -> ChainPoint:
+    """A node, or the point of ``geom`` at the loop and coordinate, in canonical form."""
     _check_object(obj, "point")
     if "node" in obj:
         return Node(_int(obj["node"], "node"))
-    loop = _int(obj["loop"], "loop")
-    coord = frac_from_str(obj["coord"])
-    if geom is not None:
-        return point_on_loop(geom, loop, coord)
-    return Interior(loop, coord)
+    return point_on_loop(geom, _int(obj["loop"], "loop"), frac_from_str(obj["coord"]))
 
 
 def divisor_to_obj(divisor: TropicalDivisor) -> dict:
@@ -253,7 +249,7 @@ def divisor_to_obj(divisor: TropicalDivisor) -> dict:
     }
 
 
-def divisor_from_obj(obj: dict, geom: ChainGeometry | None = None) -> TropicalDivisor:
+def divisor_from_obj(obj: dict, geom: ChainGeometry) -> TropicalDivisor:
     _check_object(obj, "divisor")
     pairs = []
     for entry in _list(obj["points"], "points"):

@@ -157,9 +157,7 @@ def test_criterion_5_rank_certification():
         for t in tableaux:
             divisor = divisor_from_tableau(t, GEOM_662)
             assert tropical_rank(GEOM_662, divisor) == 2
-            graph = subdivide_chain(
-                GEOM_662, [pt for pt, _ in divisor.points], subdiv_cap=100_000
-            )
+            graph = subdivide_chain(GEOM_662, [pt for pt, _ in divisor.points])
             chips = chips_from_divisor(graph, divisor)
             assert bn_rank(graph, chips) == 2
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
-from bnchains import serialize as ser
+from bnchains import oracle, serialize as ser
 from bnchains.cli import ORACLE_CHIP_CAP, SERIES_CAP, _write_json_list, build_parser, main
 from bnchains.verify import RANK_TRIAL_CAP
 
@@ -441,11 +442,45 @@ def test_oracle_commands(capsys, tableau_file, geometry_file, tmp_path):
         "--geometry", geometry_file,
     )
     assert code == 0 and out.strip() == "true"
+    # the same chain with a first loop of 100,001 unit edges, past ORACLE_EDGE_CAP
+    big = json.loads(Path(geometry_file).read_text())
+    big["loops"][0]["l"] = "100000/1"
+    big_path = tmp_path / "big.json"
+    big_path.write_text(json.dumps(big))
     code, _, err = run(
-        capsys, "oracle", "rank", "--divisor", str(div_path),
-        "--geometry", geometry_file, "--subdiv-cap", "10",
+        capsys, "oracle", "rank", "--divisor", str(div_path), "--geometry", str(big_path),
     )
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "loops, mult, code_wanted, answer",
+    [
+        ([("10/1", "1/1")] + [(f"{11 + k}/1", "1/1") for k in range(5)], 9, 2, ""),
+        ([("10/1", "1/1")] + [(f"{11 + k}/1", "1/1") for k in range(5)], 8, 0, "2"),
+        ([("100000/1", "1/1")], 1, 2, ""),
+        ([("99999/1", "1/1")], 1, 0, "0"),
+    ],
+    ids=["degree-9", "degree-8", "100001-edges", "100000-edges"],
+)
+def test_oracle_rank_at_the_fixed_caps(capsys, tmp_path, loops, mult, code_wanted, answer):
+    # the caps are ORACLE_DEGREE_CAP = 8 and ORACLE_EDGE_CAP = 100,000 unit
+    # edges; past them oracle rank exits 2 at once, at them it answers
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps(
+        {"g": len(loops), "loops": [{"l": l, "m": m} for l, m in loops]}
+    ))
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": mult}]}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "oracle", "rank", "--divisor", str(div_path), "--geometry", str(geom_path)
+    )
+    if code_wanted == 2:
+        assert time.perf_counter() - start < 1.0
+        assert "cap" in err
+    assert (code, out.strip()) == (code_wanted, answer), err
+    assert "Traceback" not in err
 
 
 
@@ -610,8 +645,8 @@ def _chain_inputs(draw):
         ("tropical", "table", "--r", "1"),
         ("tropical", "table", "--r", "2", "--allow-nongeneric"),
         ("tropical", "table", "--r", "-1", "--format", "json"),
-        ("oracle", "rank", "--subdiv-cap", "60", "--degree-cap", "3"),
-        ("oracle", "winnable", "--subdiv-cap", "60"),
+        ("oracle", "rank"),
+        ("oracle", "winnable"),
     ]),
 )
 @settings(
@@ -619,9 +654,12 @@ def _chain_inputs(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-def test_chain_commands_exit_cleanly_on_any_file(capsys, tmp_path, texts, command):
+def test_chain_commands_exit_cleanly_on_any_file(capsys, monkeypatch, tmp_path, texts, command):
     # whatever the geometry and divisor files hold, tropical rank and table
-    # and oracle rank and winnable answer 0, 1 or 2 and never a traceback
+    # and oracle rank and winnable answer 0, 1 or 2 and never a traceback;
+    # the oracle's caps are lowered so that each example answers quickly
+    monkeypatch.setattr(oracle, "ORACLE_EDGE_CAP", 60)
+    monkeypatch.setattr(oracle, "ORACLE_DEGREE_CAP", 3)
     geom_path = tmp_path / "geom.json"
     div_path = tmp_path / "div.json"
     for path, text in zip((geom_path, div_path), texts):
@@ -882,6 +920,56 @@ def test_verify_disagreement_exits_three(capsys, monkeypatch):
     assert code == 3
     assert "FAIL [table agreement]" in out
     assert '"seed": 0' in out  # reproducer dump
+
+
+def _leaf_options(parser, path=()):
+    """Each leaf subcommand of ``parser`` mapped to its option strings, help left out."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        flags = {s for a in parser._actions for s in a.option_strings}
+        return {" ".join(path): flags - {"-h", "--help"}}
+    return {
+        leaf: flags
+        for a in subs
+        for name, sub in a.choices.items()
+        for leaf, flags in _leaf_options(sub, path + (name,)).items()
+    }
+
+
+def test_flag_inventory():
+    # every option of every subcommand, so that adding or removing a flag is
+    # a visible edit here; the oracle's caps are module constants, not flags
+    assert _leaf_options(build_parser()) == {
+        "tableaux": {"--g", "--d", "--r", "--count", "--list", "--format"},
+        "eh": {"--tableau", "--g", "--d", "--r", "--format"},
+        "effective": {"--tableau", "--from-eh", "--g", "--d", "--r", "--format"},
+        "tropical divisor": {
+            "--tableau", "--geometry", "--seed", "--allow-nongeneric",
+            "--g", "--d", "--r", "--format",
+        },
+        "tropical rank": {"--divisor", "--geometry", "--allow-nongeneric"},
+        "tropical table": {"--divisor", "--geometry", "--r", "--allow-nongeneric", "--format"},
+        "oracle rank": {"--divisor", "--geometry"},
+        "oracle winnable": {"--divisor", "--geometry"},
+        "verify": {"--g-max", "--seed", "--geometries", "--winnability-trials", "--rank-trials"},
+    }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("rank", "--subdiv-cap", "300000"), ("winnable", "--subdiv-cap", "300000"),
+     ("rank", "--degree-cap", "12")],
+    ids=["rank-subdiv-cap", "winnable-subdiv-cap", "rank-degree-cap"],
+)
+def test_removed_oracle_cap_flags_exit_one(capsys, geometry_file, tmp_path, flags):
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 1}]}))
+    code, out, err = run(
+        capsys, "oracle", flags[0], "--divisor", str(div_path), "--geometry", geometry_file,
+        *flags[1:],
+    )
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {' '.join(flags[1:])}" in err
 
 
 def test_missing_file_exit_one(capsys):

@@ -81,6 +81,25 @@ def test_subdivide_registers_markers():
         graph.vertex_of(Interior(1, F(1, 3)))
 
 
+@pytest.mark.parametrize(
+    "pt",
+    [Interior(1, F(5)), Interior(2, F(4)), Interior(2, F(9, 2)), Interior(3, F(1))],
+    ids=["past-loop-1", "q1-at-circumference", "past-loop-2", "loop-3-of-2"],
+)
+def test_subdivide_refuses_points_off_the_chain(pt):
+    # on loops of circumference 4 a coordinate of 4 or more names no point of
+    # the loop, and there is no loop 3; each used to land on a wrong vertex,
+    # on a vertex past the graph or on an IndexError
+    geom = ChainGeometry(((F(3), F(1)), (F(3), F(1))))
+    with pytest.raises(ValueError, match="off the chain"):
+        subdivide_chain(geom, [pt])
+    inside = Interior(2, F(7, 2))
+    graph = subdivide_chain(geom, [inside])
+    assert graph.vertex_count == 15
+    assert graph.vertex_of(inside) == 14  # the last vertex, one edge before loop 2 closes at Q_1
+    assert graph.vertex_of(point_on_loop(geom, 2, F(15, 2))) == 14
+
+
 def _depth_first_preorder(adjacency):
     """The vertices in depth-first preorder from 0, neighbours in list order."""
     seen = [False] * len(adjacency)
@@ -120,9 +139,10 @@ def test_subdivide_numbers_vertices_in_depth_first_preorder():
 
 
 def test_subdivide_cap():
-    geom = ChainGeometry(((F(13), F(1)),))
-    with pytest.raises(OracleTooLargeError):
-        subdivide_chain(geom, subdiv_cap=10)
+    assert oracle.ORACLE_EDGE_CAP == 100_000
+    with pytest.raises(OracleTooLargeError, match="100001 unit edges"):
+        subdivide_chain(ChainGeometry(((F(100_000), F(1)),)))
+    assert subdivide_chain(ChainGeometry(((F(99_999), F(1)),))).vertex_count == 100_000
 
 
 def test_dhar_reduce_matches_loop_class():

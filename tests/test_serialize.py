@@ -50,13 +50,13 @@ def test_tableau_round_trip():
     assert ser.tableau_from_obj(obj) == t
 
 
-def test_malformed_input_raises_value_error_naming_field():
+def test_malformed_input_raises_value_error_naming_field(geom662):
     with pytest.raises(ValueError, match="rows"):
         ser.tableau_from_obj({"g": 6, "d": 6, "r": 2, "rows": 5})
     with pytest.raises(ValueError, match="rows"):
         ser.tableau_from_obj({"g": 6, "d": 6, "r": 2, "rows": [1, 2]})
     with pytest.raises(ValueError, match="divisor"):
-        ser.divisor_from_obj([{"node": 0, "mult": 1}])
+        ser.divisor_from_obj([{"node": 0, "mult": 1}], geom662)
     with pytest.raises(ValueError, match="tableau"):
         ser.tableau_from_obj([[1, 2]])
     with pytest.raises(ValueError, match="geometry"):
@@ -66,9 +66,9 @@ def test_malformed_input_raises_value_error_naming_field():
     with pytest.raises(ValueError, match="^loops:"):
         ser.geometry_from_obj({"g": 1, "loops": None})
     with pytest.raises(ValueError, match="^point:"):
-        ser.divisor_from_obj({"points": [5]})
+        ser.divisor_from_obj({"points": [5]}, geom662)
     with pytest.raises(ValueError, match="^points:"):
-        ser.divisor_from_obj({"points": {"node": 0}})
+        ser.divisor_from_obj({"points": {"node": 0}}, geom662)
     obj = ser.eh_series_to_obj(eh_series_from_tableau(tableau_662()))
     obj["components"][0] = 5
     with pytest.raises(ValueError, match="^component:"):
@@ -81,9 +81,9 @@ def test_malformed_input_raises_value_error_naming_field():
 @pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True, False, 1.5, "1"])
 def test_non_integer_scalars_raise_value_error_naming_field(geom662, bad):
     with pytest.raises(ValueError, match="^mult: expected"):
-        ser.divisor_from_obj({"points": [{"node": 0, "mult": bad}]})
+        ser.divisor_from_obj({"points": [{"node": 0, "mult": bad}]}, geom662)
     with pytest.raises(ValueError, match="^node: expected"):
-        ser.divisor_from_obj({"points": [{"node": bad, "mult": 1}]})
+        ser.divisor_from_obj({"points": [{"node": bad, "mult": 1}]}, geom662)
     with pytest.raises(ValueError, match="^g: expected"):
         ser.geometry_from_obj({"g": bad, "loops": [{"l": "3/1", "m": "1/1"}]})
     with pytest.raises(ValueError, match="^r: expected"):
@@ -100,8 +100,8 @@ def test_non_integer_scalars_raise_value_error_naming_field(geom662, bad):
         ser.eh_series_from_obj(obj)
 
 
-def test_integral_numbers_are_accepted():
-    parsed = ser.divisor_from_obj({"points": [{"node": 0.0, "mult": 2.0}]})
+def test_integral_numbers_are_accepted(geom662):
+    parsed = ser.divisor_from_obj({"points": [{"node": 0.0, "mult": 2.0}]}, geom662)
     assert parsed == TropicalDivisor(((Node(0), 2),))
 
 
@@ -158,12 +158,14 @@ def test_point_and_divisor_round_trip(geom662):
         ((Node(0), 2), (Interior(1, F(11, 3)), 1), (Node(6), -2))
     )
     obj = through_json(ser.divisor_to_obj(d))
-    assert ser.divisor_from_obj(obj) == d
     assert ser.divisor_from_obj(obj, geom662) == d
-    # geometry-aware parsing canonicalizes node coordinates
+    # parsing puts points in canonical form: nodes as nodes, coordinates mod l_k + m_k
     node_in_disguise = {"points": [{"loop": 1, "coord": "10/1", "mult": 1}]}
     parsed = ser.divisor_from_obj(node_in_disguise, geom662)
     assert parsed == TropicalDivisor(((Node(1), 1),))
+    once_around = {"points": [{"loop": 1, "coord": "12/1", "mult": 1}]}
+    parsed = ser.divisor_from_obj(once_around, geom662)
+    assert parsed == TropicalDivisor(((Interior(1, 1), 1),))
 
 
 def test_divisor_from_tableau_round_trip(geom662):
