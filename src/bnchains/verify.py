@@ -14,7 +14,10 @@ triple of a component count; the geometry and divisor of an oracle trial.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,6 +73,17 @@ SWEEP_WORK_CAP = 100_000
 # 4``, where the trials stop growing (2-core machine, Python 3.11), so the
 # cap bounds them to about half a second.
 RANK_TRIAL_CAP = 1_000
+
+
+# Most processes one suite sweeps in, the calling one included: one per
+# usable CPU up to this many.
+MAX_SHARDS = 8
+
+# The cost of one oracle trial in the unit of a shard's weight, one tableau
+# checked on one geometry per loop: a ``--g-max 6`` trial took as long as 10
+# to 13 of them (2-core machine, Python 3.11), so the 75 default trials are
+# about 15% of that suite.
+ORACLE_TRIAL_WEIGHT = 12
 
 
 class VerifyTooLargeError(RuntimeError):
@@ -146,27 +160,97 @@ def run_suite(
     oracle_winnability_trials: int = 60,
     oracle_rank_trials: int = 15,
 ) -> SuiteResult:
+    """Run every check up to genus ``g_max``; failures come in sweep order.
+
+    All random geometries are drawn first, in sweep order, and the oracle
+    trials draw after them, so the random stream is the same however the
+    work is split.  The parameter triples are then cut into contiguous
+    shards of about equal work, one per usable CPU (at most
+    :data:`MAX_SHARDS`), a triple weighing ``count_components(p) * g`` per
+    geometry.  Each shard past the first runs in a forked child that sends
+    its checks back as JSON over a pipe; the calling process sweeps the first
+    shard, made lighter by the weight of the oracle trials
+    (:data:`ORACLE_TRIAL_WEIGHT` each), and then runs those trials.  Results
+    are merged in triple order, so the result is the same for any number of
+    shards, and the first exception in sweep order reaches the caller with
+    its type and message, as from a sweep in one process (a child's
+    exception that cannot be pickled comes as a RuntimeError naming both).
+    Every child is waited for, and killed first if the sweep failed, before
+    this returns.  Without ``os.fork`` or ``os.sched_getaffinity``, or with
+    more than one thread running, the whole sweep runs in the calling
+    process.
+    """
     _check_sweep_size(
         g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
     )
-    result = SuiteResult()
     rng = random.Random(seed)
-    params_list = sweep_params(g_max)
-
-    for params in params_list:
-        expected = count_components(params)
+    sweeps = []
+    for params in sweep_params(g_max):
         tableaux = list(enumerate_tableaux(params))
+        geoms = None
+        if len(tableaux) == count_components(params):
+            geoms = [
+                random_generic_geometry(params.g, rng) for _ in range(geometries_per_param)
+            ]
+        sweeps.append((params, tableaux, geoms))
+    weights = [len(tableaux) * p.g * geometries_per_param for p, tableaux, _ in sweeps]
+    lead = ORACLE_TRIAL_WEIGHT * (oracle_winnability_trials + oracle_rank_trials)
+    first, *rest = [
+        sweeps[run.start : run.stop]
+        for run in _shard_runs(weights, lead, _shard_count(len(sweeps)))
+    ]
+
+    # per shard past the first: its child's pid and pipe, or None if no
+    # child could be forked for it and it is left to this process
+    pending: list[tuple[list, tuple[int, int] | None]] = []
+    try:
+        for shard in rest:
+            pending.append((shard, _fork_sweep(shard, seed)))
+        parts = [_sweep(first, seed)]
+        try:
+            oracle = _oracle_checks(
+                rng, g_max, oracle_winnability_trials, oracle_rank_trials
+            )
+        except Exception as exc:  # raised after the shards', as in sweep order
+            oracle = exc
+        while pending:
+            shard, child = pending[0]
+            if child is None:
+                pending.pop(0)
+                parts.append(_sweep(shard, seed))
+            else:
+                status, payload = _wait(*child)
+                pending.pop(0)
+                os.close(child[1])
+                parts.append(_decode(status, payload))
+    finally:
+        for _, child in pending:
+            if child is not None:
+                _kill(*child)
+    if isinstance(oracle, Exception):
+        raise oracle
+    parts.append(oracle)
+    return SuiteResult(
+        sum(part.checks_run for part in parts),
+        [failure for part in parts for failure in part.failures],
+    )
+
+
+def _sweep(shard: list, seed: int) -> SuiteResult:
+    """The component count of each ``(params, tableaux, geometries)`` and every tableau's checks."""
+    result = SuiteResult()
+    for params, tableaux, geoms in shard:
         result.checks_run += 1
-        if len(tableaux) != expected:
+        if geoms is None:
             result.failures.append(
                 VerifyFailure(
                     "component count",
-                    f"{params}: enumerated {len(tableaux)}, closed form {expected}",
+                    f"{params}: enumerated {len(tableaux)}, "
+                    f"closed form {count_components(params)}",
                     {"params": [params.g, params.d, params.r]},
                 )
             )
             continue
-        geoms = [random_generic_geometry(params.g, rng) for _ in range(geometries_per_param)]
         for t in tableaux:
             result.checks_run += 1
             failure = _tableau_failure(t, geoms, seed)
@@ -175,11 +259,16 @@ def run_suite(
                 result.failures.append(
                     VerifyFailure(check, detail, _tableau_repro(t, geom, seed))
                 )
+    return result
 
-    oracle_trials = _oracle_trials(
-        rng, g_max, oracle_winnability_trials, oracle_rank_trials
-    )
-    for check, geom, divisor, tropical_side, oracle_side in oracle_trials:
+
+def _oracle_checks(
+    rng: random.Random, g_max: int, winnability_trials: int, rank_trials: int
+) -> SuiteResult:
+    result = SuiteResult()
+    for check, geom, divisor, tropical_side, oracle_side in _oracle_trials(
+        rng, g_max, winnability_trials, rank_trials
+    ):
         result.checks_run += 1
         if tropical_side != oracle_side:
             repro = {
@@ -189,6 +278,121 @@ def run_suite(
             detail = f"tropical {tropical_side} vs oracle {oracle_side}"
             result.failures.append(VerifyFailure(check, detail, repro))
     return result
+
+
+def _shard_count(triples: int) -> int:
+    """Processes to sweep ``triples`` parameter triples in: 1 where forking is unsafe."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), MAX_SHARDS, triples))
+
+
+def _shard_runs(weights: list[int], lead: int, count: int) -> list[range]:
+    """Cut the indices of ``weights`` into ``count`` contiguous, non-empty runs.
+
+    The first run carries ``lead`` besides its own weights.  Each run in
+    turn takes triples while the midpoint of the next stays within an equal
+    share of what is left, so a lead above one share leaves the first run a
+    single triple and the rest to share alike.  Needs
+    ``1 <= count <= len(weights)``.
+    """
+    left = lead + sum(weights)
+    bounds = [0]
+    load = lead
+    i = 0
+    for runs in range(count, 1, -1):
+        last = len(weights) - (runs - 1)  # leave a triple to each later run
+        load += weights[i]
+        i += 1
+        while i < last and runs * (2 * load + weights[i]) <= 2 * left:
+            load += weights[i]
+            i += 1
+        bounds.append(i)
+        left -= load
+        load = 0
+    bounds.append(len(weights))
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _fork_sweep(shard: list, seed: int) -> tuple[int, int] | None:
+    """Fork a child that sweeps ``shard``; its pid and the pipe it answers on.
+
+    The child writes ``[checks_run, failures]`` as JSON and exits 0, or the
+    pickled exception its sweep raised and exits 1.  None where no pipe or
+    child can be made.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            part = _sweep(shard, seed)
+            failures = [[f.check, f.detail, f.reproducer] for f in part.failures]
+            payload = json.dumps([part.checks_run, failures]).encode()
+            status = 0
+        except BaseException as exc:  # the parent raises it again
+            payload = _pickled(exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` pickled, or a RuntimeError with its type and message if it does not round-trip."""
+    import pickle  # only a failing shard needs it
+
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _wait(pid: int, fd: int) -> tuple[int, bytes]:
+    """Read a child's answer to the end, then reap it: its exit status and answer."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), b"".join(chunks)
+
+
+def _kill(pid: int, fd: int) -> None:
+    """Kill and reap a child whose answer is no longer wanted."""
+    import signal  # only a failed sweep needs it
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    os.close(fd)
+
+
+def _decode(status: int, payload: bytes) -> SuiteResult:
+    if status == 0:
+        checks_run, failures = json.loads(payload)
+        return SuiteResult(checks_run, [VerifyFailure(*f) for f in failures])
+    if status == 1 and payload:
+        import pickle
+
+        raise pickle.loads(payload)
+    raise RuntimeError(f"a verify shard process ended with status {status}")
 
 
 def _tableau_failure(
@@ -227,18 +431,20 @@ def _tableau_failure(
             table = tropical_vanishing_table(geom, divisor, params.r)
         except Exception as exc:  # rank deficiency or ambiguity is a failure here
             return "dynamic table", repr(exc), geom
-        # the table's seed row, epsilon and x are reduce_to_q0's output
-        rebuilt = [(Node(0), table.u[0][0])]
-        rebuilt.extend((x, 1) for eps, x in zip(table.epsilon, table.x) if eps)
-        residue = reduce_to_q0(geom, divisor - TropicalDivisor(tuple(rebuilt)))
+        # the table's seed row, epsilon and x are reduce_to_q0's output, so
+        # the divisor minus that representative must reduce to zero
+        difference = [*divisor.points, (Node(0), -table.u[0][0])]
+        difference.extend((x, -1) for eps, x in zip(table.epsilon, table.x) if eps)
+        residue = reduce_to_q0(geom, TropicalDivisor(tuple(difference)))
         if residue.u != 0 or any(residue.epsilon):
             detail = "reduced representative not equivalent to the divisor"
             return "reduction soundness", detail, geom
-        for i, orders in enumerate(closed):
-            for s in range(params.k):
-                if table.u[i][s] != orders[s]:
-                    detail = f"(i={i}, s={s}): dynamic {table.u[i][s]} vs closed {orders[s]}"
-                    return "table agreement", detail, geom
+        if list(table.u) != closed:
+            for i, orders in enumerate(closed):
+                for s in range(params.k):
+                    if table.u[i][s] != orders[s]:
+                        detail = f"(i={i}, s={s}): dynamic {table.u[i][s]} vs closed {orders[s]}"
+                        return "table agreement", detail, geom
         rank = tropical_rank(geom, divisor)
         if rank != params.r:
             return "rank certification", f"rank {rank} != {params.r}", geom

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 import pytest
 
 from bnchains import serialize
@@ -38,23 +42,27 @@ def test_suite_passes_small():
     assert result.checks_run > 20
 
 
-def test_suite_detects_tampered_closed_form(monkeypatch):
-    # a wrong closed form must be caught with the (i, s) locus reported
+def _tamper_closed_form(monkeypatch):
+    """Raise w_0(g) of the closed form by one on every tableau with r >= 1."""
     from bnchains import effective
+    from bnchains.elliptic import VanishingSequence
 
     original = effective.effective_vanishing_from_tableau
 
     def tampered(t, i):
         seq = original(t, i)
         if i == t.params.g and t.params.r >= 1:
-            from bnchains.elliptic import VanishingSequence
-
             orders = list(seq.orders)
             orders[0] += 1
             return VanishingSequence(tuple(orders))
         return seq
 
     monkeypatch.setattr(vf, "effective_vanishing_from_tableau", tampered)
+
+
+def test_suite_detects_tampered_closed_form(monkeypatch):
+    # a wrong closed form must be caught with the (i, s) locus reported
+    _tamper_closed_form(monkeypatch)
     result = vf.run_suite(
         g_max=2,
         seed=1,
@@ -65,6 +73,244 @@ def test_suite_detects_tampered_closed_form(monkeypatch):
     assert not result.passed
     assert any("(i=" in f.detail for f in result.failures)
     assert any("tableau" in f.reproducer for f in result.failures)
+
+
+def _flip_winnability(monkeypatch):
+    """Negate the tropical side of every winnability trial."""
+    original = vf.is_equivalent_to_effective
+    monkeypatch.setattr(
+        vf, "is_equivalent_to_effective", lambda geom, divisor: not original(geom, divisor)
+    )
+
+
+# SHA-256 of the stdout of ``bnchains verify --g-max 5 --seed 3`` under each
+# fault, from the sweep in one process, before it was split into shards
+# (commit 2a50ee6).  The closed-form fault fails 69 table agreements (33,739
+# bytes); the winnability fault fails all 60 winnability trials (27,564
+# bytes), whose reproducers pin the random stream the trials draw after the
+# geometries.
+PINNED_VERIFY_STDOUT = {
+    "closed form": (
+        _tamper_closed_form,
+        "FAIL [table agreement]",
+        69,
+        "04e1f13318740f803ac4365f543438ef2cd6e54a1bd36b37ab50bd8f025966f3",
+    ),
+    "winnability": (
+        _flip_winnability,
+        "FAIL [winnability agreement]",
+        60,
+        "ed5db70d44c9e8fb14c6de638db4d1c069a6adfc19298ab979e01384a0fa9f93",
+    ),
+}
+
+
+def _force_shards(monkeypatch, count):
+    monkeypatch.setattr(vf, "_shard_count", lambda triples: min(count, triples))
+
+
+def _count_forks(monkeypatch) -> list:
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("shards", [None, 1, 3])
+@pytest.mark.parametrize("fault", sorted(PINNED_VERIFY_STDOUT))
+def test_verify_output_is_pinned(capsys, monkeypatch, fault, shards):
+    from bnchains.cli import main
+
+    inject, line, failures, digest = PINNED_VERIFY_STDOUT[fault]
+    inject(monkeypatch)
+    if shards is not None:
+        _force_shards(monkeypatch, shards)
+    forked = _count_forks(monkeypatch)
+    assert main(["verify", "--g-max", "5", "--seed", "3"]) == 3
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == out.count(line) == failures
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(forked) == (shards or vf._shard_count(len(vf.sweep_params(5)))) - 1
+    _assert_no_child_left()
+
+
+def test_this_machine_sweeps_in_shards():
+    # the tests below force shard counts; the default must use the CPUs too
+    cpus = len(os.sched_getaffinity(0))
+    assert vf._shard_count(68) == min(cpus, vf.MAX_SHARDS)
+    assert vf._shard_count(1) == 1
+
+
+def _suite_bytes(result) -> tuple:
+    failures = [(f.check, f.detail, json.dumps(f.reproducer)) for f in result.failures]
+    return result.checks_run, failures
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_shard_count_does_not_change_the_result(monkeypatch, seed):
+    assert vf.run_suite(6, seed).checks_run == 441
+    _tamper_closed_form(monkeypatch)
+    forked = _count_forks(monkeypatch)
+    seen = []
+    for shards in (1, 2, 3):
+        _force_shards(monkeypatch, shards)
+        seen.append(_suite_bytes(vf.run_suite(6, seed)))
+        _assert_no_child_left()
+    assert len(forked) == 0 + 1 + 2
+    checks_run, failures = seen[0]
+    assert checks_run == 441 and len(failures) > 100
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+def test_shard_runs_are_contiguous_and_balanced():
+    weights = [1, 2, 3, 50, 50, 50, 50, 10]
+    for count in range(1, len(weights) + 1):
+        for lead in (0, 40, 1000):
+            runs = vf._shard_runs(weights, lead, count)
+            assert len(runs) == count and all(runs)
+            assert [i for run in runs for i in run] == list(range(len(weights)))
+    # the first run gives up the weight of the oracle trials
+    assert vf._shard_runs(weights, 0, 2) == [range(0, 5), range(5, 8)]
+    assert vf._shard_runs(weights, 60, 2) == [range(0, 4), range(4, 8)]
+    assert vf._shard_runs(weights, 1000, 3) == [range(0, 1), range(1, 5), range(5, 8)]
+
+
+def _raise_on(monkeypatch, params, exc):
+    original = vf._tableau_failure
+
+    def failing(t, geoms, seed):
+        if t.params == params:
+            raise exc
+        return original(t, geoms, seed)
+
+    monkeypatch.setattr(vf, "_tableau_failure", failing)
+
+
+def _raised(monkeypatch, shards):
+    _force_shards(monkeypatch, shards)
+    with pytest.raises(BaseException) as info:
+        vf.run_suite(6, 1)
+    _assert_no_child_left()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_shard_exception_reaches_the_caller(monkeypatch, capsys, where):
+    from bnchains.cli import main
+    from bnchains.tropical import RankDeficiencyError
+
+    params = vf.sweep_params(6)[-1 if where == "child" else 2]
+    _raise_on(monkeypatch, params, RankDeficiencyError(f"no rank at {params}"))
+    forked = _count_forks(monkeypatch)
+    serial = _raised(monkeypatch, 1)
+    assert serial == (RankDeficiencyError, f"no rank at {params}")
+    assert _raised(monkeypatch, 2) == serial
+    assert _raised(monkeypatch, 3) == serial
+    assert len(forked) == 1 + 2
+    # the CLI maps it to exit 1 as before, with the same message
+    for shards in (1, 2):
+        _force_shards(monkeypatch, shards)
+        assert main(["verify", "--g-max", "6", "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: no rank at {params}\n")
+        _assert_no_child_left()
+
+
+def test_failing_parent_kills_its_children(monkeypatch):
+    # a child stuck in its shard must not hold up the parent's exception
+    import time
+
+    stuck = vf.sweep_params(6)[-1]
+    original = vf._tableau_failure
+
+    def failing(t, geoms, seed):
+        if t.params.g == 1:
+            raise KeyError("first shard")
+        if t.params == stuck:
+            time.sleep(60)
+        return original(t, geoms, seed)
+
+    monkeypatch.setattr(vf, "_tableau_failure", failing)
+    start = time.monotonic()
+    assert _raised(monkeypatch, 2) == (KeyError, "'first shard'")
+    assert time.monotonic() - start < 30
+
+
+def test_earliest_exception_wins(monkeypatch):
+    # a child's exception comes before the oracle trials', as in sweep order
+    _raise_on(monkeypatch, vf.sweep_params(6)[-1], KeyError("late shard"))
+    monkeypatch.setattr(
+        vf, "is_equivalent_to_effective", lambda geom, divisor: 1 / 0
+    )
+    assert _raised(monkeypatch, 1) == (KeyError, "'late shard'")
+    assert _raised(monkeypatch, 2) == (KeyError, "'late shard'")
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        vf, "is_equivalent_to_effective", lambda geom, divisor: 1 / 0
+    )
+    assert _raised(monkeypatch, 2) == (ZeroDivisionError, "division by zero")
+
+
+def test_unpicklable_child_exception_keeps_type_and_message(monkeypatch):
+    class Local(Exception):
+        pass
+
+    _raise_on(monkeypatch, vf.sweep_params(6)[-1], Local("not importable"))
+    assert _raised(monkeypatch, 2) == (RuntimeError, "Local: not importable")
+
+
+def test_refused_sweep_forks_nothing(capsys, monkeypatch):
+    from bnchains.cli import main
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["verify", "--g-max", "12"]) == 2
+    assert "verify would sweep more than" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_failed_fork_leaves_the_shard_to_the_caller(monkeypatch):
+    _tamper_closed_form(monkeypatch)
+    _force_shards(monkeypatch, 1)
+    serial = _suite_bytes(vf.run_suite(4, 2))
+
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _force_shards(monkeypatch, 3)
+    assert _suite_bytes(vf.run_suite(4, 2)) == serial
+    _assert_no_child_left()
+
+
+def test_threads_keep_the_sweep_in_one_process(monkeypatch):
+    import threading
+
+    forked = _count_forks(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert vf._shard_count(68) == 1
+        assert vf.run_suite(3, 0).passed
+    finally:
+        stop.set()
+        thread.join()
+    assert forked == []
 
 
 def test_suite_detects_wrong_rank(monkeypatch):
