@@ -19,7 +19,6 @@ from .effective import (
     NotRefinedError,
     check_effective,
     describe_concentration,
-    effective_series_from_tableau,
     effective_to_eh,
     effective_vanishing_from_tableau,
     eh_to_effective,
@@ -51,7 +50,6 @@ from .oracle import (
 from .tableaux import (
     BNParams,
     Tableau,
-    brill_noether_number,
     count_components,
     enumerate_tableaux,
     hook_count,

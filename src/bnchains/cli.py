@@ -11,8 +11,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 validation failure (including malformed flags),
 2 oracle, tropical, series, verify sweep or verify rank-trial capacity
-exceeded, or a tableau count too large, 3 internal disagreement found by
-verify.
+exceeded, or a tableau genus or count too large, 3 internal disagreement
+found by verify.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from .verify import VerifyTooLargeError, run_suite
 
 
 # eh, effective and tropical divisor refuse a series with more than this many
-# vanishing orders on a side, g * (r + 1), and tableaux --count a genus above
-# it; at the cap, effective --format json (g = 10**4, r = 0) peaks at about
-# 56 MB and writes 2.4 MB
+# vanishing orders on a side, g * (r + 1), and tableaux --count and --list a
+# genus above it; at the cap, effective --format json (g = 10**4, r = 0) peaks
+# at about 56 MB and writes 2.4 MB
 SERIES_CAP = 10_000
 
 
@@ -148,6 +148,9 @@ def _write_json_list(records) -> None:
 
 def cmd_tableaux(args) -> int:
     params = BNParams(args.g, args.d, args.r)
+    # a listed record costs O(g), and its free subset holds up to g - 1 ints
+    if params.g > SERIES_CAP:
+        raise InputTooLargeError(f"genus {params.g} is above the cap of {SERIES_CAP}")
     if args.list:
         stream = enumerate_tableaux(params)
         if args.format == "json":
@@ -161,8 +164,6 @@ def cmd_tableaux(args) -> int:
             if not shown:
                 print("(empty locus)")
         return 0
-    if params.g > SERIES_CAP:
-        raise InputTooLargeError(f"genus {params.g} is above the cap of {SERIES_CAP}")
     count = count_components(params)
     try:
         text = str(count)
@@ -385,6 +386,7 @@ def main(argv=None) -> int:
         # stdout at devnull so that the flush at exit does not fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (
         OracleTooLargeError,

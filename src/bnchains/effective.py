@@ -17,6 +17,7 @@ side-sums d' of leftover degree going the other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .elliptic import (
@@ -25,7 +26,6 @@ from .elliptic import (
     SeriesCheck,
     VanishingSequence,
     check_eh_series,
-    eh_series_from_tableau,
 )
 from .tableaux import BNParams, Tableau
 
@@ -42,7 +42,8 @@ class EffectiveSeries:
     Q_alpha joining components alpha and alpha+1.  ``w_p``/``w_q`` hold the
     vanishing at P_i / Q_i of the retained section space.  Construction checks
     shapes and bundle degrees; the series conditions live in
-    :func:`check_effective`.
+    :func:`check_effective`.  :func:`eh_to_effective`, whose output has those
+    shapes and degrees by construction, builds through :meth:`_trusted`.
     """
 
     params: BNParams
@@ -68,8 +69,28 @@ class EffectiveSeries:
             if bundle.component != i:
                 raise ValueError(f"component {i}: bundle labeled {bundle.component}")
         for seq in (*self.w_p, *self.w_q):
-            if len(seq) != p.k:
+            if len(seq.orders) != p.k:
                 raise ValueError(f"vanishing sequences must have length {p.k}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        params: BNParams,
+        degrees: tuple[int, ...],
+        bundles: tuple[BundleClass, ...],
+        w_p: tuple[VanishingSequence, ...],
+        w_q: tuple[VanishingSequence, ...],
+        node_degrees: tuple[int, ...],
+    ) -> "EffectiveSeries":
+        """A series already of the checked shapes, degrees and labels, built unchecked."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "params", params)
+        object.__setattr__(series, "degrees", degrees)
+        object.__setattr__(series, "bundles", bundles)
+        object.__setattr__(series, "w_p", w_p)
+        object.__setattr__(series, "w_q", w_q)
+        object.__setattr__(series, "node_degrees", node_degrees)
+        return series
 
 
 def check_effective(series: EffectiveSeries) -> SeriesCheck:
@@ -82,20 +103,20 @@ def check_effective(series: EffectiveSeries) -> SeriesCheck:
             False, False, f"degree bookkeeping: sum d_i - sum a = {total} != {p.d}"
         )
     refined = True
-    for alpha in range(1, p.g):
-        a = series.node_degrees[alpha - 1]
-        d_left = series.degrees[alpha - 1]
-        d_right = series.degrees[alpha]
+    degrees = series.degrees
+    nodes = zip(series.node_degrees, series.w_q, series.w_p[1:])
+    for alpha, (a, wq, wp_next) in enumerate(nodes, start=1):
+        d_left = degrees[alpha - 1]
+        d_right = degrees[alpha]
         if not (r <= a <= min(d_left, d_right)):
             return SeriesCheck(
                 False,
                 False,
                 f"node Q_{alpha}: a = {a} outside [{r}, min({d_left}, {d_right})]",
             )
-        wq = series.w_q[alpha - 1]
-        wp_next = series.w_p[alpha]
-        for t in range(r + 1):
-            s = wq[t] + wp_next[r - t]
+        wq, wp_next = wq.orders, wp_next.orders
+        # w_q[t] + w_p[r - t], t = 0..r
+        for t, s in enumerate(map(operator.add, wq, reversed(wp_next))):
             if s < a:
                 return SeriesCheck(
                     False,
@@ -120,36 +141,35 @@ def eh_to_effective(series: EHSeries) -> EffectiveSeries:
     At each node set a_alpha = d - u_r(Q-side) - u_r(P-side); on each
     component twist away u_r at its nodes, so d_i = d minus the u_r at the
     node(s) of C_i (end components have a single node) and the node vanishing
-    drops by its own minimum.  Rejects non-refined input.
+    drops by its own minimum.  Rejects non-refined input.  The output has the
+    checked shapes, degrees and labels by construction and is built unchecked.
     """
     p = series.params
     verdict = check_eh_series(series)
     if not verdict.valid or not verdict.refined:
         raise NotRefinedError(verdict.problem or "series is not refined")
-    g, r = p.g, p.r
+    d, r = p.d, p.r
+    # u_r on each side of every node: the Q-side of its left component and
+    # the P-side of its right one; the ends of the chain have none
+    q_low = [seq.orders[r] for seq in series.vanish_q[:-1]]
+    p_low = [seq.orders[r] for seq in series.vanish_p[1:]]
     degrees = []
     bundles = []
     w_p = []
     w_q = []
-    node_degrees = []
-    for i in range(1, g + 1):
-        bundle, up, uq = series.component(i)
-        left = up[r] if i > 1 else 0
-        right = uq[r] if i < g else 0
-        d_i = p.d - left - right
+    sides = zip(series.bundles, series.vanish_p, series.vanish_q, [0, *p_low], [*q_low, 0])
+    for i, (bundle, up, uq, left, right) in enumerate(sides, start=1):
+        d_i = d - left - right
         degrees.append(d_i)
-        w_p.append(up.shifted(-left) if i > 1 else up)
-        w_q.append(uq.shifted(-right) if i < g else uq)
-        if bundle.is_special:
+        w_p.append(up.shifted(-left) if left else up)
+        w_q.append(uq.shifted(-right) if right else uq)
+        if bundle.a is not None:
             bundles.append(BundleClass.special(i, d_i, bundle.a - left))
         else:
             bundles.append(BundleClass.generic(i, d_i, tag=bundle.tag))
-    for alpha in range(1, g):
-        uq = series.vanish_q[alpha - 1]
-        up_next = series.vanish_p[alpha]
-        node_degrees.append(p.d - uq[r] - up_next[r])
-    return EffectiveSeries(
-        p, tuple(degrees), tuple(bundles), tuple(w_p), tuple(w_q), tuple(node_degrees)
+    node_degrees = tuple([d - low_q - low_p for low_q, low_p in zip(q_low, p_low)])
+    return EffectiveSeries._trusted(
+        p, tuple(degrees), tuple(bundles), tuple(w_p), tuple(w_q), node_degrees
     )
 
 
@@ -170,37 +190,39 @@ def effective_to_eh(series: EffectiveSeries) -> EHSeries:
     Component j regains the side-sums as base points at its nodes: the bundle
     becomes L_{j,j}(d'_left P_j + d'_right Q_j) and the vanishing shifts up by
     the matching side-sum.  Inverse of :func:`eh_to_effective` on refined
-    series.  Rejects non-refined input and negative side-sums.
+    series.  Rejects non-refined input and negative side-sums.  The output has
+    the checked shapes, degrees and labels by construction and is built
+    unchecked.
     """
     p = series.params
     verdict = check_effective(series)
     if not verdict.valid or not verdict.refined:
         raise NotRefinedError(verdict.problem or "series is not refined")
-    g = p.g
+    g, d = p.g, p.d
     degrees, node_degrees = series.degrees, series.node_degrees
     bundles = []
     vanish_p = []
     vanish_q = []
     # side_sums(series, j), kept as running sums
     d_left, d_right = 0, sum(degrees[1:]) - sum(node_degrees)
-    for j in range(1, g + 1):
+    sides = zip(series.bundles, series.w_p, series.w_q)
+    for j, (bundle, wp, wq) in enumerate(sides, start=1):
         if d_left < 0 or d_right < 0:
             raise ValueError(
                 f"component {j}: negative leftover degree ({d_left}, {d_right})"
             )
-        bundle = series.bundles[j - 1]
-        if bundle.is_special:
-            bundles.append(BundleClass.special(j, p.d, bundle.a + d_left))
+        if bundle.a is not None:
+            bundles.append(BundleClass.special(j, d, bundle.a + d_left))
         else:
-            bundles.append(BundleClass.generic(j, p.d, tag=bundle.tag))
-        vanish_p.append(series.w_p[j - 1].shifted(d_left))
-        vanish_q.append(series.w_q[j - 1].shifted(d_right))
+            bundles.append(BundleClass.generic(j, d, tag=bundle.tag))
+        vanish_p.append(wp.shifted(d_left))
+        vanish_q.append(wq.shifted(d_right))
         if j < g:
             # C_j and then the node Q_j move to the left side, C_{j+1} off the right
             a = node_degrees[j - 1]
             d_left += degrees[j - 1] - a
             d_right -= degrees[j] - a
-    return EHSeries(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
+    return EHSeries._trusted(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
 
 
 def effective_vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:
@@ -214,12 +236,9 @@ def effective_vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:
         raise ValueError(f"component index {i} outside 0..{p.g}")
     fills = t.column_fills
     base = p.r - fills[p.r][i]
-    return VanishingSequence(tuple([base - s + col[i] for s, col in enumerate(fills)]))
-
-
-def effective_series_from_tableau(t: Tableau) -> EffectiveSeries:
-    """Shorthand for eh_to_effective(eh_series_from_tableau(t))."""
-    return eh_to_effective(eh_series_from_tableau(t))
+    return VanishingSequence._checked(
+        tuple([base - s + col[i] for s, col in enumerate(fills)])
+    )
 
 
 @dataclass(frozen=True)

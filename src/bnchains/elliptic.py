@@ -14,6 +14,7 @@ two pinned classes agree exactly when their P-coefficients agree, and a free
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .tableaux import BNParams, Tableau
@@ -38,12 +39,28 @@ class BundleClass:
             raise ValueError("bundle class needs exactly one of a, tag")
 
     @classmethod
+    def _trusted(
+        cls, component: int, degree: int, a: int | None, tag: str | None
+    ) -> "BundleClass":
+        """A class with exactly one of ``a``, ``tag`` set, built unchecked."""
+        bundle = object.__new__(cls)
+        object.__setattr__(bundle, "component", component)
+        object.__setattr__(bundle, "degree", degree)
+        object.__setattr__(bundle, "a", a)
+        object.__setattr__(bundle, "tag", tag)
+        return bundle
+
+    @classmethod
     def special(cls, component: int, degree: int, a: int) -> "BundleClass":
-        return cls(component, degree, a=a)
+        if a is None:
+            raise ValueError("bundle class needs exactly one of a, tag")
+        return cls._trusted(component, degree, a, None)
 
     @classmethod
     def generic(cls, component: int, degree: int, tag: str | None = None) -> "BundleClass":
-        return cls(component, degree, tag=tag if tag is not None else f"gen{component}")
+        return cls._trusted(
+            component, degree, None, tag if tag is not None else f"gen{component}"
+        )
 
     @property
     def is_special(self) -> bool:
@@ -70,15 +87,29 @@ class BundleClass:
         return 1 if self.a == 0 else 0
 
 
+def _check_orders(orders: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``orders`` is non-empty, strictly decreasing and >= 0."""
+    if not orders:
+        raise ValueError("vanishing sequence must be non-empty")
+    if not all(map(operator.gt, orders, orders[1:])):
+        raise ValueError(f"orders not strictly decreasing: {orders}")
+    if orders[-1] < 0:
+        raise ValueError(f"orders must be non-negative: {orders}")
+
+
 @dataclass(frozen=True)
 class VanishingSequence:
     """Strictly decreasing orders of vanishing, length r+1, last entry >= 0.
 
-    The constructor converts the entries to ``int`` and checks all three
-    conditions, for sequences from outside (a parsed file, a caller).  Orders
-    the library derives from a sequence it already holds go through
-    :meth:`_trusted`, which checks only the sign of the last entry:
-    :meth:`shifted` and the P-side of :func:`eh_series_from_tableau`.
+    Each sequence is checked once, where it enters the library.  The
+    constructor converts the entries to ``int`` and checks all three
+    conditions in one pass, for sequences from outside (a caller).  A tuple
+    of ints, such as a closed form of a tableau or a parsed list whose
+    entries are already ints, goes through :meth:`_checked`: the same checks
+    and messages, no conversion.  Orders the library derives from a sequence
+    it already holds go through :meth:`_trusted`, which checks only the sign
+    of the last entry: :meth:`shifted` and the P-side of
+    :func:`eh_series_from_tableau`.
     """
 
     orders: tuple[int, ...]
@@ -86,12 +117,15 @@ class VanishingSequence:
     def __post_init__(self):
         orders = tuple(map(int, self.orders))
         object.__setattr__(self, "orders", orders)
-        if not orders:
-            raise ValueError("vanishing sequence must be non-empty")
-        if orders != tuple(sorted(set(orders), reverse=True)):
-            raise ValueError(f"orders not strictly decreasing: {orders}")
-        if orders[-1] < 0:
-            raise ValueError(f"orders must be non-negative: {orders}")
+        _check_orders(orders)
+
+    @classmethod
+    def _checked(cls, orders: tuple[int, ...]) -> "VanishingSequence":
+        """Build from a tuple of ints with the constructor's checks, unconverted."""
+        _check_orders(orders)
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "orders", orders)
+        return seq
 
     @classmethod
     def _trusted(cls, orders: tuple[int, ...]) -> "VanishingSequence":
@@ -220,7 +254,7 @@ def vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:
     if not 0 <= i <= p.g:
         raise ValueError(f"component index {i} outside 0..{p.g}")
     base = p.d - i
-    return VanishingSequence(
+    return VanishingSequence._checked(
         tuple([base - s + col[i] for s, col in enumerate(t.column_fills)])
     )
 
@@ -247,7 +281,9 @@ class EHSeries:
 
     ``vanish_p[i-1]`` / ``vanish_q[i-1]`` are the orders at P_i / Q_i, both
     stored strictly decreasing.  Construction checks shapes and degrees only;
-    node compatibility is the job of :func:`check_eh_series`.
+    node compatibility is the job of :func:`check_eh_series`.  The library's
+    own builders, whose shapes, degrees and labels hold by construction, go
+    through :meth:`_trusted` instead.
     """
 
     params: BNParams
@@ -265,8 +301,29 @@ class EHSeries:
             if bundle.component != i:
                 raise ValueError(f"component {i}: bundle labeled {bundle.component}")
         for seq in (*self.vanish_p, *self.vanish_q):
-            if len(seq) != p.k:
+            if len(seq.orders) != p.k:
                 raise ValueError(f"vanishing sequences must have length {p.k}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        params: BNParams,
+        bundles: tuple[BundleClass, ...],
+        vanish_p: tuple[VanishingSequence, ...],
+        vanish_q: tuple[VanishingSequence, ...],
+    ) -> "EHSeries":
+        """A series already of the checked shapes, degrees and labels, built unchecked.
+
+        For :func:`eh_series_from_tableau` and ``effective_to_eh``, whose
+        outputs have g components of degree d labeled 1..g and sequences of
+        length r+1 by construction.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "params", params)
+        object.__setattr__(series, "bundles", bundles)
+        object.__setattr__(series, "vanish_p", vanish_p)
+        object.__setattr__(series, "vanish_q", vanish_q)
+        return series
 
     def component(self, i: int) -> tuple[BundleClass, VanishingSequence, VanishingSequence]:
         return self.bundles[i - 1], self.vanish_p[i - 1], self.vanish_q[i - 1]
@@ -289,20 +346,19 @@ def check_eh_series(series: EHSeries) -> SeriesCheck:
     failing (node, t).
     """
     p = series.params
-    r = p.r
+    d, r = p.d, p.r
     refined = True
-    for i in range(1, p.g):
-        vq = series.vanish_q[i - 1]
-        vp_next = series.vanish_p[i]
-        for t in range(r + 1):
-            total = vq[t] + vp_next[r - t]
-            if total < p.d:
+    nodes = zip(series.vanish_q, series.vanish_p[1:])
+    for i, (vq, vp_next) in enumerate(nodes, start=1):
+        # vanish_q[t] + vanish_p[r - t], t = 0..r
+        for t, total in enumerate(map(operator.add, vq.orders, reversed(vp_next.orders))):
+            if total < d:
                 return SeriesCheck(
                     False,
                     False,
-                    f"node Q_{i}: vanish_q[{t}] + vanish_p[{r - t}] = {total} < {p.d}",
+                    f"node Q_{i}: vanish_q[{t}] + vanish_p[{r - t}] = {total} < {d}",
                 )
-            if total > p.d:
+            if total > d:
                 refined = False
     return SeriesCheck(True, refined)
 
@@ -310,10 +366,12 @@ def check_eh_series(series: EHSeries) -> SeriesCheck:
 def eh_series_from_tableau(t: Tableau) -> EHSeries:
     """Assemble the full series encoded by a tableau.
 
-    Q-side vanishing comes from the closed form; the P-side at component i is
-    forced by refinedness to (d - u_r(i-1), ..., d - u_0(i-1)), a reversed
-    complement of a checked sequence, so it is built unchecked but for its
-    sign.  The result is always valid and refined.
+    Q-side vanishing comes from the closed form, checked once; the P-side at
+    component i is forced by refinedness to (d - u_r(i-1), ..., d - u_0(i-1)),
+    a reversed complement of a checked sequence, so it is built unchecked but
+    for its sign.  The series has the checked shapes, degrees and labels by
+    construction and is built unchecked too.  The result is always valid and
+    refined.
     """
     p = t.params
     d = p.d
@@ -329,7 +387,7 @@ def eh_series_from_tableau(t: Tableau) -> EHSeries:
         vanish_q.append(here)
         bundles.append(bundle_from_tableau(t, i))
         prev = here
-    return EHSeries(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
+    return EHSeries._trusted(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
 
 
 @dataclass(frozen=True)

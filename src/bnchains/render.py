@@ -35,35 +35,39 @@ def render_tableau(t: Tableau) -> str:
 
 
 def bundle_label(bundle: BundleClass) -> str:
-    if not bundle.is_special:
+    a = bundle.a
+    if a is None:
         return f"generic[{bundle.tag}]"
     i = bundle.component
+    b = bundle.degree - a
     terms = []
-    if bundle.a:
-        terms.append(f"{bundle.a if bundle.a != 1 else ''}P_{i}")
-    if bundle.b:
-        terms.append(f"{bundle.b if bundle.b != 1 else ''}Q_{i}")
+    if a:
+        terms.append(f"{a if a != 1 else ''}P_{i}")
+    if b:
+        terms.append(f"{b if b != 1 else ''}Q_{i}")
     if not terms:
         return "O"
     return "O(" + "+".join(terms) + ")"
 
 
 def _series_table(params, bundles, left_seqs, right_seqs, left_pt, right_pt) -> str:
-    rows = []
-    for i in range(1, params.g + 1):
-        label = bundle_label(bundles[i - 1])
-        asc = " ".join(str(v) for v in reversed(left_seqs[i - 1].orders))
-        desc = " ".join(str(v) for v in right_seqs[i - 1].orders)
-        rows.append((f"C_{i}", label, f"{left_pt}_{i}", asc, f"{right_pt}_{i}", desc))
-    widths = [max(len(row[j]) for row in rows) for j in range(6)]
-    lines = []
-    for row in rows:
-        lines.append(
-            f"{row[0]:<{widths[0]}}  {row[1]:<{widths[1]}}  "
-            f"{row[2]:>{widths[2]}}: {row[3]:<{widths[3]}}  "
-            f"{row[4]:>{widths[4]}}: {row[5]:<{widths[5]}}".rstrip()
-        )
-    return "\n".join(lines)
+    # column by column: each cell is built once, then padded to its column's width
+    g = params.g
+    comps = [f"C_{i}" for i in range(1, g + 1)]
+    labels = list(map(bundle_label, bundles))
+    lefts = [f"{left_pt}_{i}" for i in range(1, g + 1)]
+    ascs = [" ".join(map(str, reversed(seq.orders))) for seq in left_seqs]
+    rights = [f"{right_pt}_{i}" for i in range(1, g + 1)]
+    descs = [" ".join(map(str, seq.orders)) for seq in right_seqs]
+    w0, w1, w2, w3, w4, w5 = (
+        max(map(len, column)) for column in (comps, labels, lefts, ascs, rights, descs)
+    )
+    return "\n".join(
+        [
+            f"{c:<{w0}}  {b:<{w1}}  {lp:>{w2}}: {a:<{w3}}  {rp:>{w4}}: {q:<{w5}}".rstrip()
+            for c, b, lp, a, rp, q in zip(comps, labels, lefts, ascs, rights, descs)
+        ]
+    )
 
 
 def render_eh_series(series: EHSeries) -> str:

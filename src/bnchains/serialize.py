@@ -129,7 +129,10 @@ def _seq_to_list(seq: VanishingSequence) -> list[int]:
 
 
 def _seq_from_list(values, what: str) -> VanishingSequence:
-    return VanishingSequence(tuple([_int(v, what) for v in _list(values, what)]))
+    """A sequence from a JSON list, each entry read by :func:`_int` and checked once."""
+    return VanishingSequence._checked(
+        tuple([v if type(v) is int else _int(v, what) for v in _list(values, what)])
+    )
 
 
 def eh_series_to_obj(series: EHSeries) -> dict:

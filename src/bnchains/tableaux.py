@@ -51,11 +51,6 @@ class BNParams:
         return self.g - self.k * self.kbar
 
 
-def brill_noether_number(g: int, d: int, r: int) -> int:
-    """Expected dimension ``g - (r+1)(g-d+r)`` of the Brill-Noether locus."""
-    return BNParams(g, d, r).rho
-
-
 def hook_count(k: int, kbar: int) -> int:
     """Number of standard fillings of a rectangle with ``k`` columns and ``kbar`` rows.
 
@@ -232,6 +227,10 @@ def _standard_fillings(k: int, kbar: int) -> Iterator[tuple[tuple[int, ...], ...
     c < t, so v is ruled out once more than ``t * (rows below m)`` values are
     passed over, and so is every larger value.  Values left of the cell were
     counted at earlier cells of the row, so the count runs on from there.
+    A row's first cell (t = 0) may pass over no value, so it holds the least
+    value not yet placed and is never tried with another; a new row
+    therefore starts its scan just past the value above it, not at 1, which
+    keeps a one-column rectangle linear in its length rather than quadratic.
     The rule only cuts branches that cannot complete, so the order is that of
     the full search.
     """
@@ -265,8 +264,9 @@ def _standard_fillings(k: int, kbar: int) -> Iterator[tuple[tuple[int, ...], ...
             continue
         used[u] = True
         p += 1
-        # the next cell in the row scans on past u; a new row starts from 1
-        scan[p], passed[p] = (u + 1, c) if t < k - 1 else (1, 0)
+        # the next cell in the row scans on past u; a new row starts past the
+        # value above it, as every smaller value is placed by then
+        scan[p], passed[p] = (u + 1, c) if t < k - 1 else (word[p - k] + 1, 0)
 
 
 def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:

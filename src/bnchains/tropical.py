@@ -303,10 +303,17 @@ def _reduce(
     geom: ChainGeometry, divisor: TropicalDivisor
 ) -> tuple[int, list[_Loop], list[int]]:
     """``reduce_to_q0`` in integers: u, the scaled loops and each loop's sigma."""
-    node_mult, loops = _split(geom, divisor)
-    sigmas = [0] * geom.g
-    carry = node_mult[geom.g]
-    for k in range(geom.g, 0, -1):
+    return _reduce_split(*_split(geom, divisor))
+
+
+def _reduce_split(
+    node_mult: list[int], loops: list[_Loop]
+) -> tuple[int, list[_Loop], list[int]]:
+    """:func:`_reduce` of a divisor already split by :func:`_split`."""
+    g = len(loops)
+    sigmas = [0] * g
+    carry = node_mult[g]
+    for k in range(g, 0, -1):
         moved, sigmas[k - 1] = _loop_step(loops[k - 1], carry)
         carry = node_mult[k - 1] + moved
     return carry, loops, sigmas
@@ -422,7 +429,14 @@ def tropical_vanishing_table(
     if r < 0:
         raise ValueError(f"rank must be >= 0, got {r}")
     _check_width(r)
-    u0, loops, sigmas = _reduce(geom, divisor)
+    return _table_from_split(*_split(geom, divisor), r)
+
+
+def _table_from_split(
+    node_mult: list[int], loops: list[_Loop], r: int
+) -> TropVanishingTable:
+    """:func:`tropical_vanishing_table` of a divisor already split, for 0 <= r <= the cap."""
+    u0, loops, sigmas = _reduce_split(node_mult, loops)
     if u0 < r:
         raise RankDeficiencyError(
             f"rank deficiency at loop 0: reduced multiplicity {u0} < {r}"
@@ -487,7 +501,7 @@ def divisor_from_tableau(
     p = t.params
     if p.g != geom.g:
         raise ValueError(f"tableau genus {p.g} != geometry genus {geom.g}")
-    rng = random.Random(seed)
+    rng = None  # made at the first free index; a rho = 0 tableau draws nothing
     support: list[tuple[ChainPoint, int]] = [(Node(0), p.r)]
     for i in range(1, p.g + 1):
         if t.is_placed(i):
@@ -497,6 +511,8 @@ def divisor_from_tableau(
             u = p.r - s + t.column_fill(i, s) - t.column_fill(i, p.r) - 1
             x = solve_special_point(geom, i, u)
         else:
+            if rng is None:
+                rng = random.Random(seed)
             x = _sample_generic_point(geom, i, p.d, rng)
         support.append((x, 1))
     return TropicalDivisor(tuple(support))
@@ -519,10 +535,11 @@ def _sample_generic_point(
     raise SamplingError(f"loop {k}: could not sample a generic point")
 
 
-def _least_carries(
-    geom: ChainGeometry, divisor: TropicalDivisor, width: int
-) -> list[int]:
+def _least_carries(node_mult: list[int], loops: list[_Loop], width: int) -> list[int]:
     """Least Q_0 coefficient ``best[j]`` of D - E over node divisors E >= 0 of degree j <= width.
+
+    D comes split by :func:`_split`; its callers check ``width`` against
+    ``_MAX_SWEEP_WIDTH`` before they split it.
 
     ``reduce_to_q0`` sees a node divisor E only through the integer carry
     reaching each node, and loop k passes on (``_loop_step``)
@@ -540,12 +557,9 @@ def _least_carries(
     ``best[j]`` depends only on ``best[0..j]``, so one sweep serves every j
     at once; ``best[0]`` is ``reduce_to_q0``'s u, and ``best`` is
     non-increasing in j.  With the minimum kept as a running prefix minimum
-    the sweep is g * (width + 1) integer steps.  A width above
-    ``_MAX_SWEEP_WIDTH`` raises :class:`TropicalTooLargeError`.
+    the sweep is g * (width + 1) integer steps.
     """
-    _check_width(width)
-    node_mult, loops = _split(geom, divisor)
-    g = geom.g
+    g = len(loops)
     best = [node_mult[g] - j for j in range(width + 1)]
     for k in range(g, 0, -1):
         degree, cls, l, c, _ = loops[k - 1]
@@ -573,7 +587,8 @@ def rank_at_least(geom: ChainGeometry, divisor: TropicalDivisor, r: int) -> bool
     """
     if r < 0:
         return True
-    return _least_carries(geom, divisor, r)[r] >= 0
+    _check_width(r)
+    return _least_carries(*_split(geom, divisor), r)[r] >= 0
 
 
 def tropical_rank(geom: ChainGeometry, divisor: TropicalDivisor) -> int:
@@ -585,5 +600,12 @@ def tropical_rank(geom: ChainGeometry, divisor: TropicalDivisor) -> int:
     one.  A degree above ``_MAX_SWEEP_WIDTH`` raises
     :class:`TropicalTooLargeError`.
     """
-    best = _least_carries(geom, divisor, max(divisor.degree, 0))
+    degree = divisor.degree
+    _check_width(degree)
+    return _rank_from_split(*_split(geom, divisor), degree)
+
+
+def _rank_from_split(node_mult: list[int], loops: list[_Loop], degree: int) -> int:
+    """:func:`tropical_rank` of a divisor of ``degree`` <= the cap, already split."""
+    best = _least_carries(node_mult, loops, max(degree, 0))
     return sum(b >= 0 for b in best) - 1

@@ -35,13 +35,15 @@ from .tropical import (
     ChainGeometry,
     Node,
     TropicalDivisor,
+    _rank_from_split,
+    _split,
+    _table_from_split,
     check_genericity,
     divisor_from_tableau,
     is_equivalent_to_effective,
     point_on_loop,
     reduce_to_q0,
     tropical_rank,
-    tropical_vanishing_table,
 )
 
 
@@ -401,7 +403,10 @@ def _tableau_failure(
     """The first failing check of a tableau as ``(check, detail, geometry)``, else None.
 
     ``geometry`` is the one the check failed on, or None for the checks that
-    use no geometry.
+    use no geometry.  Each tableau divisor is split into its node and loop
+    data (``tropical._split``) once, and both the dynamic vanishing table and
+    the rank are read off that split; the soundness residue, a different
+    divisor, is reduced on its own.  So every geometry costs two splits.
     """
     params = t.params
     if not validate_tableau(t).ok:
@@ -428,7 +433,8 @@ def _tableau_failure(
         if divisor.degree != params.d:
             return "divisor degree", f"degree {divisor.degree} != {params.d}", geom
         try:
-            table = tropical_vanishing_table(geom, divisor, params.r)
+            split = _split(geom, divisor)
+            table = _table_from_split(*split, params.r)
         except Exception as exc:  # rank deficiency or ambiguity is a failure here
             return "dynamic table", repr(exc), geom
         # the table's seed row, epsilon and x are reduce_to_q0's output, so
@@ -445,7 +451,7 @@ def _tableau_failure(
                     if table.u[i][s] != orders[s]:
                         detail = f"(i={i}, s={s}): dynamic {table.u[i][s]} vs closed {orders[s]}"
                         return "table agreement", detail, geom
-        rank = tropical_rank(geom, divisor)
+        rank = _rank_from_split(*split, divisor.degree)
         if rank != params.r:
             return "rank certification", f"rank {rank} != {params.r}", geom
     return None

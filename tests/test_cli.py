@@ -117,6 +117,82 @@ def test_tableaux_list_closed_stdout_exits_quietly():
     assert head[0].split() == [b"1", b"2", b"3", b"4"]
 
 
+class _ClosingStdout:
+    """A stdout that keeps what it is given and then breaks like a closed pipe.
+
+    The write that takes it past ``limit`` characters is kept and then raises
+    ``BrokenPipeError``.  ``fileno`` is a real descriptor open on the null
+    device, as ``cli.main`` points it elsewhere with ``dup2`` on a broken pipe.
+    """
+
+    def __init__(self, fd: int, limit: int):
+        self._fd, self._limit = fd, limit
+        self.parts: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size > self._limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+@pytest.fixture
+def null_fd():
+    fd = os.open(os.devnull, os.O_WRONLY)
+    yield fd
+    os.close(fd)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("g", [SERIES_CAP + 1, 3_000_000, 10**9, 10**40])
+def test_tableaux_list_refuses_a_genus_over_the_cap(capsys, g, fmt):
+    # unrefused, (3 * 10^6, 3 * 10^6 - 1, 0) wrote no byte in 20 s: each
+    # listed record costs O(g), and 128 of them go out per write
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "tableaux", "--g", str(g), "--d", str(g - 1), "--r", "0", "--list",
+        "--format", fmt,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "above the cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "d, rows",
+    [(SERIES_CAP - 1, [[SERIES_CAP]]), (0, [[i] for i in range(1, SERIES_CAP + 1)])],
+    ids=["one-cell", "one-column"],
+)
+def test_tableaux_list_at_the_genus_cap_streams(monkeypatch, null_fd, d, rows, fmt):
+    # (10^4, 9999, 0) has 10^4 tableaux of one cell each, and (10^4, 0, 0)
+    # one tableau of one column of 10^4 cells, which took seconds while each
+    # row of a filling scanned every value placed above it; the first record
+    # must come out at once, and the closed stdout then ends the listing
+    out = _ClosingStdout(null_fd, 0)
+    monkeypatch.setattr(sys, "stdout", out)
+    start = time.perf_counter()
+    code = main(["tableaux", "--g", str(SERIES_CAP), "--d", str(d), "--r", "0",
+                 "--list", "--format", fmt])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    first = out.parts[0]
+    if fmt == "json":
+        assert first.startswith("[\n  {")
+        record = json.loads(first[4:].split(",\n  {", 1)[0])
+        assert record == {"g": SERIES_CAP, "d": d, "r": 0, "rows": rows}
+    else:
+        assert first.splitlines()[0].strip() == str(rows[0][0])
+
+
 def test_malformed_flags_exit_one(capsys):
     assert run(capsys, "tableaux", "--g", "6")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
@@ -922,18 +998,23 @@ def test_verify_disagreement_exits_three(capsys, monkeypatch):
     assert '"seed": 0' in out  # reproducer dump
 
 
-def _leaf_options(parser, path=()):
-    """Each leaf subcommand of ``parser`` mapped to its option strings, help left out."""
+def _leaf_actions(parser, path=()):
+    """Each leaf subcommand of ``parser`` mapped to its actions by option string, help left out."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        flags = {s for a in parser._actions for s in a.option_strings}
-        return {" ".join(path): flags - {"-h", "--help"}}
+        actions = {s: a for a in parser._actions for s in a.option_strings}
+        return {" ".join(path): {s: a for s, a in actions.items() if s not in ("-h", "--help")}}
     return {
-        leaf: flags
+        leaf: actions
         for a in subs
         for name, sub in a.choices.items()
-        for leaf, flags in _leaf_options(sub, path + (name,)).items()
+        for leaf, actions in _leaf_actions(sub, path + (name,)).items()
     }
+
+
+def _leaf_options(parser):
+    """Each leaf subcommand of ``parser`` mapped to its option strings, help left out."""
+    return {leaf: set(actions) for leaf, actions in _leaf_actions(parser).items()}
 
 
 def test_flag_inventory():
@@ -953,6 +1034,96 @@ def test_flag_inventory():
         "oracle winnable": {"--divisor", "--geometry"},
         "verify": {"--g-max", "--seed", "--geometries", "--winnability-trials", "--rank-trials"},
     }
+
+
+# small ints, and ints beyond the genus cap either way: a genus between them
+# can take seconds before its first record, as (10^4, 12, 0) does, which
+# builds 38 MB of records for its first write
+_FLAG_INTS = st.one_of(
+    st.integers(-3, 12),
+    st.integers(SERIES_CAP + 1, 10**40),
+    st.integers(-(10**40), -(SERIES_CAP + 1)),
+    st.sampled_from([SERIES_CAP + 1, 10**9, -(10**9)]),
+)
+# the last word is 10^4400, past the 4,300 digits int reads from text
+_FLAG_WORDS = st.sampled_from(["x", "1.5", "", "3e2", "0x10", "--", "nan", "1" + "0" * 4400])
+
+# verify's counts, drawn so that every run is refused or ends within a second
+_VERIFY_VALUES = {
+    "--g-max": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(12, 10**9)),
+    "--geometries": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(10**5, 10**9)),
+    "--winnability-trials": st.one_of(
+        st.integers(-3, -1), st.integers(0, 100), st.integers(10**5 + 1, 10**9)
+    ),
+    "--rank-trials": st.one_of(
+        st.integers(-3, -1), st.integers(0, 50), st.integers(1_001, 10**9)
+    ),
+}
+
+
+@pytest.fixture
+def flag_files(tmp_path):
+    """Small fixed input files for the file options, and a path with no file."""
+    t = tableau_662()
+    objs = {
+        "tableau": ser.tableau_to_obj(t),
+        "geometry": {"g": 6, "loops": [{"l": f"{10 + k}/1", "m": "1/1"} for k in range(6)]},
+        "divisor": {"points": [{"node": 0, "mult": 2}, {"node": 3, "mult": 1}]},
+        "series": ser.eh_series_to_obj(eh_series_from_tableau(t)),
+    }
+    paths = []
+    for name, obj in objs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    return paths + [str(tmp_path / "missing.json")]
+
+
+def _flag_values(leaf, option, action, files):
+    """What may follow ``option``: nothing, a word, an int, or a file path."""
+    if action.nargs == 0:
+        return st.just([])
+    missing = st.just([])
+    if action.choices is not None:
+        choices = st.sampled_from([[c] for c in action.choices])
+        return st.one_of(missing, choices, _FLAG_WORDS.map(lambda w: [w]))
+    if action.metavar == "FILE":
+        return st.one_of(missing, st.sampled_from([[f] for f in files]))
+    if leaf == "verify" and option in _VERIFY_VALUES:
+        return st.one_of(missing, _VERIFY_VALUES[option].map(lambda v: [str(v)]))
+    return st.one_of(missing, _FLAG_INTS.map(lambda v: [str(v)]), _FLAG_WORDS.map(lambda w: [w]))
+
+
+@given(data=st.data())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_flags_exit_cleanly(capsys, monkeypatch, null_fd, flag_files, data):
+    # every subcommand through the option strings test_flag_inventory pins:
+    # each case answers 0, 1 or 2 and never a traceback; a listing ends when
+    # its stdout breaks after 64 KB, as under `| head -c 65536`
+    leaves = _leaf_actions(build_parser())
+    leaf = data.draw(st.sampled_from(sorted(leaves)), label="leaf")
+    argv = leaf.split()
+    options = data.draw(st.permutations(sorted(leaves[leaf])), label="order")
+    chosen = options[: data.draw(st.integers(0, len(options)), label="count")]
+    if leaf == "verify" and "--g-max" not in chosen:
+        chosen.append("--g-max")  # the default of 6 is a sweep of its own
+    for option in chosen:
+        action = leaves[leaf][option]
+        argv += [option, *data.draw(_flag_values(leaf, option, action, flag_files), label=option)]
+    out = _ClosingStdout(null_fd, 64 * 1024)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    assert elapsed < 5.0, (argv, elapsed)
 
 
 @pytest.mark.parametrize(

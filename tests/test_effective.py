@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from bnchains import (
     BNParams,
+    BundleClass,
     ChainGeometry,
     NotRefinedError,
     check_effective,
     describe_concentration,
     divisor_from_tableau,
-    effective_series_from_tableau,
     effective_to_eh,
     effective_vanishing_from_tableau,
     eh_series_from_tableau,
@@ -37,7 +37,7 @@ def seq(*orders):
 
 @pytest.fixture
 def effective_662():
-    return effective_series_from_tableau(tableau_662())
+    return eh_to_effective(eh_series_from_tableau(tableau_662()))
 
 
 def test_effective_matches_worked_example(effective_662):
@@ -249,9 +249,19 @@ def test_concentration_total_degree(t):
     assert desc.total_degree == t.params.d
 
 
+def _rebuilt(bundles, sequences):
+    """The bundles and sequences built again by their public constructors."""
+    return (
+        tuple(BundleClass(b.component, b.degree, a=b.a, tag=b.tag) for b in bundles),
+        *(tuple(VanishingSequence(seq.orders) for seq in side) for side in sequences),
+    )
+
+
 def test_trusted_sequences_pass_the_constructor():
     # shifted and the P-side of eh_series_from_tableau build their sequences
-    # unchecked but for the sign; each must pass the full check unchanged
+    # unchecked but for the sign, and the series builders and conversions
+    # build their bundles and series unchecked; each must pass the full
+    # checks unchanged
     for p in sweep_params(8):
         for t in enumerate_tableaux(p):
             series = eh_series_from_tableau(t)
@@ -263,3 +273,10 @@ def test_trusted_sequences_pass_the_constructor():
                 *back.vanish_p, *back.vanish_q,
             ):
                 assert VanishingSequence(seq.orders) == seq
+            for eh in (series, back):
+                bundles, vanish_p, vanish_q = _rebuilt(eh.bundles, (eh.vanish_p, eh.vanish_q))
+                assert EHSeries(eh.params, bundles, vanish_p, vanish_q) == eh
+            bundles, w_p, w_q = _rebuilt(eff.bundles, (eff.w_p, eff.w_q))
+            assert EffectiveSeries(
+                eff.params, tuple(eff.degrees), bundles, w_p, w_q, tuple(eff.node_degrees)
+            ) == eff

@@ -48,6 +48,8 @@ def test_bundle_equality_rules():
     assert g1 != a
     with pytest.raises(ValueError):
         BundleClass(1, 6)  # neither pinned nor tagged
+    with pytest.raises(ValueError, match="exactly one of a, tag"):
+        BundleClass.special(1, 6, None)
 
 
 def test_vanishing_sequence_validation():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bnchains import (
     BNParams,
@@ -9,7 +11,11 @@ from bnchains import (
     Interior,
     Node,
     TropicalDivisor,
+    VanishingSequence,
+    check_effective,
+    check_eh_series,
     divisor_from_tableau,
+    effective_to_eh,
     eh_series_from_tableau,
     eh_to_effective,
     enumerate_tableaux,
@@ -18,6 +24,8 @@ from bnchains import (
     tropical_vanishing_table,
 )
 from bnchains import serialize as ser
+from bnchains.render import render_eh_series, render_effective_series
+from bnchains.verify import sweep_params
 
 from worked_example import tableau_662
 
@@ -202,3 +210,85 @@ def test_concentration_object():
             {"component": 6, "kind": "trivial"},
         ],
     }
+
+
+def _outcome(build, values):
+    """What ``build(values)`` gives: the orders with their types, or the error's type and message."""
+    try:
+        orders = build(values).orders
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return orders, tuple(map(type, orders))
+
+
+def _parsed_then_constructed(values):
+    """``_seq_from_list`` as it was: every entry read by ``_int``, then the public constructor."""
+    return VanishingSequence(tuple([ser._int(v, "vanish_Q") for v in values]))
+
+
+@given(
+    st.one_of(
+        st.lists(
+            st.one_of(st.integers(-3, 8), st.booleans(), st.sampled_from([3.0, 3.5, -1.0, 0.0])),
+            max_size=6,
+        ),
+        # decreasing runs with equal neighbours and negative tails
+        st.lists(st.integers(-1, 3), max_size=6).map(
+            lambda steps: [sum(steps[i:]) - 1 for i in range(len(steps))]
+        ),
+    )
+)
+@example([])
+@example([True, False])
+@example([3.0, 2, 0])
+@example([3.5, 1])
+@example([2, 2, 0])
+@example([2, 1, -1])
+@settings(max_examples=300, deadline=None)
+def test_checked_builders_agree_with_the_constructor(values):
+    # the checked builder is the public constructor less its int conversion
+    converted = tuple(map(int, values))
+    assert _outcome(VanishingSequence._checked, converted) == _outcome(
+        VanishingSequence, values
+    )
+    # the reader gives what reading every entry and then constructing gave
+    assert _outcome(lambda v: ser._seq_from_list(v, "vanish_Q"), values) == _outcome(
+        _parsed_then_constructed, values
+    )
+
+
+def _models_chain_record(t) -> list:
+    series = eh_series_from_tableau(t)
+    verdict = check_eh_series(series)
+    eff = eh_to_effective(series)
+    everdict = check_effective(eff)
+    s_text = json.dumps(ser.eh_series_to_obj(series))
+    e_text = json.dumps(ser.effective_series_to_obj(eff))
+    return [
+        s_text,
+        e_text,
+        effective_to_eh(eff) == series,
+        ser.eh_series_from_obj(json.loads(s_text)) == series,
+        ser.effective_series_from_obj(json.loads(e_text)) == eff,
+        [verdict.valid, verdict.refined, verdict.problem],
+        [everdict.valid, everdict.refined, everdict.problem],
+        render_eh_series(series),
+        render_effective_series(eff),
+    ]
+
+
+def test_models_chain_golden_digest():
+    # every tableau with g <= 9 through the models chain the benchmark's
+    # models-g9 item runs: both series' JSON and their readers, the round
+    # trip, both verdicts and both tables; digest taken at badaad8, before
+    # series values were checked once and built unchecked
+    digest = hashlib.sha256()
+    count = 0
+    for params in sweep_params(9):
+        for t in enumerate_tableaux(params):
+            digest.update(json.dumps(_models_chain_record(t)).encode() + b"\n")
+            count += 1
+    assert count == 4_061
+    assert digest.hexdigest() == (
+        "2a65ab4d5eca5bd33eeaeccf14e88743c1c92bffbc35b58f1e62a518624e05ec"
+    )

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from bnchains import (
     BNParams,
     Tableau,
-    brill_noether_number,
     count_components,
     enumerate_tableaux,
     hook_count,
@@ -70,10 +69,10 @@ def syt_brute_force(k: int, kbar: int) -> int:
 def test_derived_parameters():
     p = PARAMS_662
     assert (p.k, p.kbar, p.rho) == (3, 2, 0)
-    assert brill_noether_number(6, 6, 2) == 0
-    assert brill_noether_number(1, 1, 0) == 1
-    assert brill_noether_number(5, 4, 1) == 1
-    assert brill_noether_number(5, 3, 1) == -1
+    assert BNParams(6, 6, 2).rho == 0
+    assert BNParams(1, 1, 0).rho == 1
+    assert BNParams(5, 4, 1).rho == 1
+    assert BNParams(5, 3, 1).rho == -1
 
 
 def test_params_validation():

@@ -736,7 +736,7 @@ def test_integer_paths_match_fraction_references():
         assert (nodes, loops) == _split_reference(geom, divisor), (geom, divisor)
         scaled += sum(n > unit for (_, _, _, _, n), (_, _, unit) in zip(loops, geom._units))
         for width in range(0, max(divisor.degree, 0) + 3):
-            assert _least_carries(geom, divisor, width) == _least_carries_reference(
+            assert _least_carries(nodes, loops, width) == _least_carries_reference(
                 geom, divisor, width
             ), (geom, divisor, width)
     assert scaled > 300, scaled

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from bnchains import serialize
 from bnchains import verify as vf
-from bnchains.tableaux import BNParams, count_components
+from bnchains.tableaux import BNParams, count_components, enumerate_tableaux
+from bnchains.tropical import divisor_from_tableau
 
 
 def test_sweep_params_bounds():
@@ -315,9 +317,11 @@ def test_threads_keep_the_sweep_in_one_process(monkeypatch):
 
 def test_suite_detects_wrong_rank(monkeypatch):
     # rank is certified at every genus, past the default verify --g-max 6
-    original = vf.tropical_rank
+    original = vf._rank_from_split
     monkeypatch.setattr(
-        vf, "tropical_rank", lambda geom, divisor: original(geom, divisor) + (geom.g == 7)
+        vf,
+        "_rank_from_split",
+        lambda node_mult, loops, degree: original(node_mult, loops, degree) + (len(loops) == 7),
     )
     result = vf.run_suite(
         g_max=7,
@@ -338,6 +342,31 @@ def test_suite_detects_wrong_rank(monkeypatch):
     geom = serialize.geometry_from_obj(repro["geometry"])
     check, detail, _ = vf._tableau_failure(t, [geom], repro["seed"])
     assert (check, detail) == (failure.check, failure.detail)
+
+
+def test_one_split_per_tableau_divisor(monkeypatch):
+    # the table and the rank of a tableau divisor come from one split; the
+    # soundness residue, a different divisor, is split once more
+    from bnchains import tropical
+
+    calls = []
+    original = tropical._split
+
+    def counted(geom, divisor):
+        calls.append(divisor)
+        return original(geom, divisor)
+
+    monkeypatch.setattr(tropical, "_split", counted)
+    monkeypatch.setattr(vf, "_split", counted)
+    rng = random.Random(5)
+    for params in (BNParams(4, 4, 1), BNParams(6, 6, 2), BNParams(5, 6, 2)):
+        geoms = [vf.random_generic_geometry(params.g, rng) for _ in range(3)]
+        for t in enumerate_tableaux(params):
+            calls.clear()
+            assert vf._tableau_failure(t, geoms, 0) is None
+            assert len(calls) == 2 * len(geoms)
+            divisors = [divisor_from_tableau(t, geom, seed=0) for geom in geoms]
+            assert calls[::2] == divisors
 
 
 def test_suite_passes_at_genus_8():
