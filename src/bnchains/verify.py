@@ -5,7 +5,9 @@ tableau, checks the combinatorial counts, the node identities of the
 concentrated series, the effective round trip, and the agreement of the three
 vanishing tables (closed form, effective, dynamic tropical) on randomized
 generic geometries.  A budgeted slice of randomized divisors is additionally
-cross-checked against the chip-firing oracle.  Every failure carries a JSON
+cross-checked against the chip-firing oracle.  The calling process draws
+every geometry; shards of triples, forked but for the first, enumerate and
+check their own (see :func:`run_suite`).  Every failure carries a JSON
 reproducer that is exactly the failed check's input: the tableau, plus the
 geometry and seed for a check on a geometry, which
 ``_tableau_failure(tableau, [geometry], seed)`` replays; the parameter
@@ -164,50 +166,46 @@ def run_suite(
 ) -> SuiteResult:
     """Run every check up to genus ``g_max``; failures come in sweep order.
 
-    All random geometries are drawn first, in sweep order, and the oracle
-    trials draw after them, so the random stream is the same however the
-    work is split.  The parameter triples are then cut into contiguous
+    The calling process draws every triple's random geometries, in sweep
+    order, and the oracle trials draw after them, so the random stream is
+    the same however the work is split.  The triples are cut into contiguous
     shards of about equal work, one per usable CPU (at most
     :data:`MAX_SHARDS`), a triple weighing ``count_components(p) * g`` per
-    geometry.  Each shard past the first runs in a forked child that sends
-    its checks back as JSON over a pipe; the calling process sweeps the first
-    shard, made lighter by the weight of the oracle trials
-    (:data:`ORACLE_TRIAL_WEIGHT` each), and then runs those trials.  Results
-    are merged in triple order, so the result is the same for any number of
-    shards, and the first exception in sweep order reaches the caller with
-    its type and message, as from a sweep in one process (a child's
-    exception that cannot be pickled comes as a RuntimeError naming both).
-    Every child is waited for, and killed first if the sweep failed, before
-    this returns.  Without ``os.fork`` or ``os.sched_getaffinity``, or with
-    more than one thread running, the whole sweep runs in the calling
-    process.
+    geometry, and each shard enumerates its own triples' tableaux, checks
+    their count, and checks each tableau.  The shards past the first run in
+    forked children that send their checks back as JSON over a pipe; the
+    calling process sweeps the first shard, made lighter by the weight of
+    the oracle trials (:data:`ORACLE_TRIAL_WEIGHT` each), and then runs
+    those trials.  Results are merged in triple order, so the result is the
+    same for any number of shards, and the first exception in sweep order
+    reaches the caller with its type and message, as from a sweep in one
+    process (a child's exception that cannot be pickled comes as a
+    RuntimeError naming both).  Every child is waited for, and killed first
+    if the sweep failed, before this returns.  A shard no child can be
+    forked for runs in the calling process, as does the whole sweep without
+    ``os.fork`` or ``os.sched_getaffinity`` or with other threads running.
     """
     _check_sweep_size(
         g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
     )
     rng = random.Random(seed)
-    sweeps = []
-    for params in sweep_params(g_max):
-        tableaux = list(enumerate_tableaux(params))
-        geoms = None
-        if len(tableaux) == count_components(params):
-            geoms = [
-                random_generic_geometry(params.g, rng) for _ in range(geometries_per_param)
-            ]
-        sweeps.append((params, tableaux, geoms))
-    weights = [len(tableaux) * p.g * geometries_per_param for p, tableaux, _ in sweeps]
+    sweeps = [
+        (params, [random_generic_geometry(params.g, rng) for _ in range(geometries_per_param)])
+        for params in sweep_params(g_max)
+    ]
+    weights = [count_components(p) * p.g * geometries_per_param for p, _ in sweeps]
     lead = ORACLE_TRIAL_WEIGHT * (oracle_winnability_trials + oracle_rank_trials)
     first, *rest = [
         sweeps[run.start : run.stop]
         for run in _shard_runs(weights, lead, _shard_count(len(sweeps)))
     ]
 
-    # per shard past the first: its child's pid and pipe, or None if no
-    # child could be forked for it and it is left to this process
-    pending: list[tuple[list, tuple[int, int] | None]] = []
+    # per shard past the first: its child's pid and pipe, or the shard itself
+    # if no child could be forked for it and it is left to this process
+    pending: list[list | tuple[int, int]] = []
     try:
         for shard in rest:
-            pending.append((shard, _fork_sweep(shard, seed)))
+            pending.append(_fork_sweep(shard, seed))
         parts = [_sweep(first, seed)]
         try:
             oracle = _oracle_checks(
@@ -216,18 +214,10 @@ def run_suite(
         except Exception as exc:  # raised after the shards', as in sweep order
             oracle = exc
         while pending:
-            shard, child = pending[0]
-            if child is None:
-                pending.pop(0)
-                parts.append(_sweep(shard, seed))
-            else:
-                status, payload = _wait(*child)
-                pending.pop(0)
-                os.close(child[1])
-                parts.append(_decode(status, payload))
+            parts.append(_collect(pending.pop(0), seed))
     finally:
-        for _, child in pending:
-            if child is not None:
+        for child in pending:
+            if isinstance(child, tuple):
                 _kill(*child)
     if isinstance(oracle, Exception):
         raise oracle
@@ -239,11 +229,12 @@ def run_suite(
 
 
 def _sweep(shard: list, seed: int) -> SuiteResult:
-    """The component count of each ``(params, tableaux, geometries)`` and every tableau's checks."""
+    """The component count of each ``(params, geometries)`` and every tableau's checks."""
     result = SuiteResult()
-    for params, tableaux, geoms in shard:
+    for params, geoms in shard:
         result.checks_run += 1
-        if geoms is None:
+        tableaux = list(enumerate_tableaux(params))
+        if len(tableaux) != count_components(params):
             result.failures.append(
                 VerifyFailure(
                     "component count",
@@ -320,23 +311,23 @@ def _shard_runs(weights: list[int], lead: int, count: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _fork_sweep(shard: list, seed: int) -> tuple[int, int] | None:
+def _fork_sweep(shard: list, seed: int) -> list | tuple[int, int]:
     """Fork a child that sweeps ``shard``; its pid and the pipe it answers on.
 
     The child writes ``[checks_run, failures]`` as JSON and exits 0, or the
-    pickled exception its sweep raised and exits 1.  None where no pipe or
-    child can be made.
+    pickled exception its sweep raised and exits 1.  Where no pipe or child
+    can be made, ``shard`` itself, for :func:`_collect` to sweep here.
     """
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return None
+        return shard
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        return shard
     if pid:
         os.close(write_fd)
         return pid, read_fd
@@ -368,15 +359,6 @@ def _pickled(exc: BaseException) -> bytes:
         return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
-def _wait(pid: int, fd: int) -> tuple[int, bytes]:
-    """Read a child's answer to the end, then reap it: its exit status and answer."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    _, status = os.waitpid(pid, 0)
-    return os.waitstatus_to_exitcode(status), b"".join(chunks)
-
-
 def _kill(pid: int, fd: int) -> None:
     """Kill and reap a child whose answer is no longer wanted."""
     import signal  # only a failed sweep needs it
@@ -386,7 +368,22 @@ def _kill(pid: int, fd: int) -> None:
     os.close(fd)
 
 
-def _decode(status: int, payload: bytes) -> SuiteResult:
+def _collect(child: list | tuple[int, int], seed: int) -> SuiteResult:
+    """Sweep a shard :func:`_fork_sweep` gave back, or read, reap and decode its child.
+
+    A child's answer is its checks, or the exception it raised, raised again
+    here; a read cut short kills the child instead.
+    """
+    if not isinstance(child, tuple):
+        return _sweep(child, seed)
+    pid, fd = child
+    try:
+        payload = os.fdopen(fd, "rb", closefd=False).read()
+    except BaseException:  # the caller no longer holds the child to kill
+        _kill(pid, fd)
+        raise
+    os.close(fd)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status == 0:
         checks_run, failures = json.loads(payload)
         return SuiteResult(checks_run, [VerifyFailure(*f) for f in failures])

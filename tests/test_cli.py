@@ -14,7 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
 from bnchains import oracle, serialize as ser
-from bnchains.cli import ORACLE_CHIP_CAP, SERIES_CAP, _write_json_list, build_parser, main
+from bnchains.cli import (
+    JSON_BATCH_BYTES,
+    ORACLE_CHIP_CAP,
+    SERIES_CAP,
+    _write_json_list,
+    build_parser,
+    main,
+)
 from bnchains.verify import RANK_TRIAL_CAP
 
 from worked_example import tableau_662
@@ -89,9 +96,10 @@ def test_tableaux_list_json_bytes_fixed(capsys):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 256, 300])
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 256, 300, 313, 314, 315, 420])
 def test_json_list_writer_across_batches(capsys, n):
-    # (10, 9, 2) has 420 tableaux, with free indices
+    # (10, 9, 2) has 420 tableaux, with free indices, of 209 bytes of JSON
+    # each, so the 314th takes the first batch to JSON_BATCH_BYTES
     tableaux = list(islice(enumerate_tableaux(BNParams(10, 9, 2)), n))
     _write_json_list(map(ser.tableau_list_entry, tableaux))
     objs = [ser.tableau_to_obj(t) for t in tableaux]
@@ -155,7 +163,7 @@ def null_fd():
 @pytest.mark.parametrize("g", [SERIES_CAP + 1, 3_000_000, 10**9, 10**40])
 def test_tableaux_list_refuses_a_genus_over_the_cap(capsys, g, fmt):
     # unrefused, (3 * 10^6, 3 * 10^6 - 1, 0) wrote no byte in 20 s: each
-    # listed record costs O(g), and 128 of them go out per write
+    # listed record costs O(g), and 128 of them went out per write
     start = time.perf_counter()
     code, out, err = run(
         capsys, "tableaux", "--g", str(g), "--d", str(g - 1), "--r", "0", "--list",
@@ -191,6 +199,21 @@ def test_tableaux_list_at_the_genus_cap_streams(monkeypatch, null_fd, d, rows, f
         assert record == {"g": SERIES_CAP, "d": d, "r": 0, "rows": rows}
     else:
         assert first.splitlines()[0].strip() == str(rows[0][0])
+
+
+def test_tableaux_list_json_writes_a_long_record_alone(monkeypatch, null_fd):
+    # each record of (10^4, 12, 0) is 298,632 bytes; at 128 records a write
+    # the first write was 38.2 MB, built in 2.94 s
+    first = ser.tableau_list_entry(next(enumerate_tableaux(BNParams(SERIES_CAP, 12, 0))))
+    assert len(first) > JSON_BATCH_BYTES
+    out = _ClosingStdout(null_fd, 0)
+    monkeypatch.setattr(sys, "stdout", out)
+    start = time.perf_counter()
+    code = main(["tableaux", "--g", str(SERIES_CAP), "--d", "12", "--r", "0",
+                 "--list", "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.parts[0] == "[\n  " + first
 
 
 def test_malformed_flags_exit_one(capsys):

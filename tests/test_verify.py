@@ -176,6 +176,50 @@ def test_shard_count_does_not_change_the_result(monkeypatch, seed):
     assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
+def test_shard_count_does_not_change_a_component_count_failure(monkeypatch):
+    # each shard enumerates and counts its own triples; the geometries of
+    # the triples after a miscounted one are drawn as if it counted right
+    _tamper_closed_form(monkeypatch)
+    broken = vf.sweep_params(6)[-1]
+    original = vf.enumerate_tableaux
+    monkeypatch.setattr(
+        vf, "enumerate_tableaux", lambda p: list(original(p))[: -1 if p == broken else None]
+    )
+    seen = []
+    for shards in (1, 2, 3):
+        _force_shards(monkeypatch, shards)
+        seen.append(_suite_bytes(vf.run_suite(6, 0)))
+        _assert_no_child_left()
+    checks_run, failures = seen[0]
+    assert checks_run == 441 - count_components(broken)
+    counts = [f for f in failures if f[0] == "component count"]
+    assert counts == [(
+        "component count",
+        f"{broken}: enumerated {count_components(broken) - 1}, "
+        f"closed form {count_components(broken)}",
+        json.dumps({"params": [broken.g, broken.d, broken.r]}),
+    )]
+    assert len(failures) > 100
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+def test_parent_enumerates_only_its_first_shard(monkeypatch):
+    enumerated = []
+    original = vf.enumerate_tableaux
+
+    def recorded(params):
+        enumerated.append(params)  # in this process only, not in a child
+        return original(params)
+
+    monkeypatch.setattr(vf, "enumerate_tableaux", recorded)
+    _force_shards(monkeypatch, 2)
+    assert vf.run_suite(6, 0).checks_run == 441
+    triples = vf.sweep_params(6)
+    assert len(triples) == 68
+    assert 0 < len(enumerated) < len(triples)
+    assert enumerated == triples[: len(enumerated)]
+
+
 def test_shard_runs_are_contiguous_and_balanced():
     weights = [1, 2, 3, 50, 50, 50, 50, 10]
     for count in range(1, len(weights) + 1):
@@ -273,6 +317,53 @@ def test_unpicklable_child_exception_keeps_type_and_message(monkeypatch):
     assert _raised(monkeypatch, 2) == (RuntimeError, "Local: not importable")
 
 
+def test_child_that_dies_without_answering_raises(monkeypatch):
+    import signal
+
+    last = vf.sweep_params(6)[-1]
+    original = vf._tableau_failure
+
+    def dying(t, geoms, seed):
+        if t.params == last:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(t, geoms, seed)
+
+    monkeypatch.setattr(vf, "_tableau_failure", dying)
+    assert _raised(monkeypatch, 2) == (
+        RuntimeError,
+        "a verify shard process ended with status -9",
+    )
+
+
+def test_interrupted_wait_kills_the_child(monkeypatch):
+    # an exception while the parent reads a child's answer, here from an
+    # alarm, must not leave the child running
+    import signal
+    import time
+
+    stuck = vf.sweep_params(6)[-1]
+    original = vf._tableau_failure
+
+    def sleepy(t, geoms, seed):
+        if t.params == stuck:
+            time.sleep(60)
+        return original(t, geoms, seed)
+
+    def interrupt(signum, frame):
+        raise KeyError("interrupted")
+
+    monkeypatch.setattr(vf, "_tableau_failure", sleepy)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        assert _raised(monkeypatch, 2) == (KeyError, "'interrupted'")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+
+
 def test_refused_sweep_forks_nothing(capsys, monkeypatch):
     from bnchains.cli import main
 
@@ -313,6 +404,31 @@ def test_threads_keep_the_sweep_in_one_process(monkeypatch):
         stop.set()
         thread.join()
     assert forked == []
+
+
+def test_passing_sharded_sweep_imports_neither_pickle_nor_signal():
+    # only a failing shard needs pickle, and only a failed sweep signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import os, sys, bnchains.cli\n"
+        "from bnchains import verify as vf\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "vf._shard_count = lambda triples: min(2, triples)\n"
+        "assert vf.run_suite(3, 0).passed and forks\n"
+        "print(sorted({'pickle', 'signal'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_suite_detects_wrong_rank(monkeypatch):
