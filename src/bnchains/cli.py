@@ -24,7 +24,7 @@ import sys
 
 from . import render, serialize
 from .effective import describe_concentration, eh_to_effective
-from .elliptic import check_eh_series, eh_series_from_tableau
+from .elliptic import eh_series_from_tableau
 from .oracle import (
     ORACLE_CHIP_CAP,
     ORACLE_DEGREE_CAP,
@@ -87,9 +87,12 @@ def _check_series_size(params: BNParams) -> None:
     """Raise :class:`InputTooLargeError` if the series would pass :data:`SERIES_CAP`."""
     size = params.g * (params.r + 1)
     if size > SERIES_CAP:
+        shape = (  # str() stops at 4,300 digits, so a long count goes unprinted
+            f"of genus {params.g} and dimension {params.r} holds {size}"
+            if size < 10**100 else "holds too many"
+        )
         raise InputTooLargeError(
-            f"a series of genus {params.g} and dimension {params.r} holds {size} "
-            f"vanishing orders a side, more than the cap of {SERIES_CAP}"
+            f"a series {shape} vanishing orders a side, more than the cap of {SERIES_CAP}"
         )
 
 
@@ -101,7 +104,7 @@ def _load_tableau(path: str, args):
     """
     t = serialize.tableau_from_obj(_load_json(path))
     for flag in ("g", "d", "r"):
-        given = getattr(args, flag, None)
+        given = getattr(args, flag)
         if given is not None and given != getattr(t.params, flag):
             raise CLIError(
                 f"--{flag} {given} does not match tableau file ({getattr(t.params, flag)})"
@@ -117,7 +120,7 @@ def _load_geometry(path: str, args):
     geom = serialize.geometry_from_obj(_load_json(path))
     report = check_genericity(geom)
     if not report.generic:
-        if not getattr(args, "allow_nongeneric", False):
+        if not args.allow_nongeneric:
             raise CLIError(
                 f"geometry is not generic (loops {list(report.failing_loops)}); "
                 "pass --allow-nongeneric to proceed"
@@ -213,9 +216,6 @@ def cmd_effective(args) -> int:
     else:
         series = serialize.eh_series_from_obj(_load_json(args.from_eh))
         _check_series_size(series.params)
-        verdict = check_eh_series(series)
-        if not verdict.valid or not verdict.refined:
-            raise CLIError(f"input series not refined: {verdict.problem or ''}")
         effective = eh_to_effective(series)
         desc = None
     if args.format == "json":
@@ -302,60 +302,53 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bnchains", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tableaux", help="count or list tableaux for (g, d, r)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    # option groups that several subcommands share, each declared once
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "table"], default="table")
+    cross = _Parser(add_help=False)  # optional cross-checks of a tableau file
+    for flag in ("--g", "--d", "--r"):
+        cross.add_argument(flag, type=int)
+    chain = _Parser(add_help=False)
+    chain.add_argument("--geometry", required=True, metavar="FILE")
+    chain.add_argument("--allow-nongeneric", action="store_true")
+
+    p = sub.add_parser("tableaux", parents=[fmt], help="count or list tableaux for (g, d, r)")
+    for flag in ("--g", "--d", "--r"):
+        p.add_argument(flag, type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true", default=True)
     group.add_argument("--list", action="store_true")
-    p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_tableaux)
 
-    p = sub.add_parser("eh", help="concentrated series of a tableau")
+    p = sub.add_parser("eh", parents=[cross, fmt], help="concentrated series of a tableau")
     p.add_argument("--tableau", required=True, metavar="FILE")
-    p.add_argument("--g", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_eh)
 
-    p = sub.add_parser("effective", help="effective series of a tableau or series")
+    p = sub.add_parser(
+        "effective", parents=[cross, fmt], help="effective series of a tableau or series"
+    )
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tableau", metavar="FILE")
     src.add_argument("--from-eh", dest="from_eh", metavar="FILE")
-    p.add_argument("--g", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--format", choices=["json", "table"], default="table")
     p.set_defaults(func=cmd_effective)
 
     p = sub.add_parser("tropical", help="divisors on a chain of loops")
     tsub = p.add_subparsers(dest="tropical_command", required=True)
 
-    pd = tsub.add_parser("divisor", help="tableau divisor with exact coordinates")
+    pd = tsub.add_parser(
+        "divisor", parents=[chain, cross, fmt], help="tableau divisor with exact coordinates"
+    )
     pd.add_argument("--tableau", required=True, metavar="FILE")
-    pd.add_argument("--geometry", required=True, metavar="FILE")
     pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--allow-nongeneric", action="store_true")
-    pd.add_argument("--g", type=int)
-    pd.add_argument("--d", type=int)
-    pd.add_argument("--r", type=int)
-    pd.add_argument("--format", choices=["json", "table"], default="table")
     pd.set_defaults(func=cmd_tropical_divisor)
 
-    pr = tsub.add_parser("rank", help="exact rank of a divisor")
+    pr = tsub.add_parser("rank", parents=[chain], help="exact rank of a divisor")
     pr.add_argument("--divisor", required=True, metavar="FILE")
-    pr.add_argument("--geometry", required=True, metavar="FILE")
-    pr.add_argument("--allow-nongeneric", action="store_true")
     pr.set_defaults(func=cmd_tropical_rank)
 
-    pt = tsub.add_parser("table", help="dynamic vanishing table of a divisor")
+    pt = tsub.add_parser("table", parents=[chain, fmt], help="dynamic vanishing table of a divisor")
     pt.add_argument("--divisor", required=True, metavar="FILE")
-    pt.add_argument("--geometry", required=True, metavar="FILE")
     pt.add_argument("--r", type=int, required=True)
-    pt.add_argument("--allow-nongeneric", action="store_true")
-    pt.add_argument("--format", choices=["json", "table"], default="table")
     pt.set_defaults(func=cmd_tropical_table)
 
     p = sub.add_parser(

@@ -147,7 +147,7 @@ def eh_to_effective(series: EHSeries) -> EffectiveSeries:
     p = series.params
     verdict = check_eh_series(series)
     if not verdict.valid or not verdict.refined:
-        raise NotRefinedError(verdict.problem or "series is not refined")
+        raise NotRefinedError(f"series is not refined: {verdict.problem or 'a node sum exceeds d'}")
     d, r = p.d, p.r
     # u_r on each side of every node: the Q-side of its left component and
     # the P-side of its right one; the ends of the chain have none

@@ -143,8 +143,9 @@ def subdivide_chain(
         int(scale * (l + m)) for l, m in geom.lengths
     )
     if total_units > ORACLE_EDGE_CAP:
+        needs = total_units if total_units < 10**100 else "too many"  # str() stops at 4,300 digits
         raise OracleTooLargeError(
-            f"subdivision needs {total_units} unit edges, cap is {ORACLE_EDGE_CAP}"
+            f"subdivision needs {needs} unit edges, cap is {ORACLE_EDGE_CAP}"
         )
     edges: list[tuple[int, int]] = []
     node_vertices = [0]
@@ -218,8 +219,9 @@ def _chip_list(graph: DiscreteGraph, config: ChipConfig) -> list[int]:
     """
     held = sum(abs(c) for _, c in config.items())
     if held > ORACLE_CHIP_CAP:
+        shown = held if held < 10**100 else "too many"  # str() stops at 4,300 digits
         raise OracleTooLargeError(
-            f"the divisor holds {held} chips, more than the cap of {ORACLE_CHIP_CAP}"
+            f"the divisor holds {shown} chips, more than the cap of {ORACLE_CHIP_CAP}"
         )
     chips = [0] * graph.vertex_count
     for v, c in config.items():
@@ -451,8 +453,9 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
     """
     degree = config.degree
     if degree > ORACLE_DEGREE_CAP:
+        shown = f" {degree}" if degree < 10**100 else ""  # str() stops at 4,300 digits
         raise OracleTooLargeError(
-            f"degree {degree} exceeds rank-search cap {ORACLE_DEGREE_CAP}"
+            f"degree{shown} exceeds rank-search cap {ORACLE_DEGREE_CAP}"
         )
     adjacency = graph.adjacency
     n = graph.vertex_count

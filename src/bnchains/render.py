@@ -19,7 +19,6 @@ from .tropical import (
     Node,
     TropicalDivisor,
     TropVanishingTable,
-    chain_point_key,
     special_multiplicity,
 )
 
@@ -128,7 +127,7 @@ def render_divisor(divisor: TropicalDivisor, geom: ChainGeometry) -> str:
         return "0"
     parts = []
     legend = []
-    for pt, mult in sorted(divisor.points, key=lambda it: chain_point_key(it[0])):
+    for pt, mult in divisor.points:  # already in chain order
         if isinstance(pt, Node):
             parts.append(_term(mult, point_label(pt)))
         else:

@@ -1,9 +1,11 @@
 """JSON object (de)serialization for every value the CLI reads or writes.
 
-Rationals travel as "p/q" strings (always with the denominator, "13/1");
+Rationals are written as "p/q" strings (always with the denominator, "13/1");
 vanishing sequences as decreasing integer lists; tableaux as row lists.  Every
 ``*_to_obj`` output re-parses to an equal value through the matching
-``*_from_obj``.
+``*_from_obj``.  A rational is read unparsed into :class:`ChainGeometry` or
+:func:`point_on_loop`, whose one reader, ``tropical._exact``, takes an integer
+or a string such as "-3/4" or "0.25" and refuses exponent forms such as "1e3".
 """
 
 from __future__ import annotations
@@ -25,15 +27,6 @@ from .tropical import (
 
 def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def frac_from_str(s) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise ValueError(f"expected a rational as \"p/q\", got {s!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _check_object(obj, what: str) -> None:
@@ -225,9 +218,7 @@ def geometry_from_obj(obj: dict) -> ChainGeometry:
         raise ValueError(f"g = {obj['g']} but {len(loops)} loops given")
     for lp in loops:
         _check_object(lp, "loop")
-    return ChainGeometry(
-        tuple((frac_from_str(lp["l"]), frac_from_str(lp["m"])) for lp in loops)
-    )
+    return ChainGeometry(tuple((lp["l"], lp["m"]) for lp in loops))
 
 
 def point_to_obj(pt: ChainPoint) -> dict:
@@ -241,7 +232,7 @@ def point_from_obj(obj: dict, geom: ChainGeometry) -> ChainPoint:
     _check_object(obj, "point")
     if "node" in obj:
         return Node(_int(obj["node"], "node"))
-    return point_on_loop(geom, _int(obj["loop"], "loop"), frac_from_str(obj["coord"]))
+    return point_on_loop(geom, _int(obj["loop"], "loop"), obj["coord"])
 
 
 def divisor_to_obj(divisor: TropicalDivisor) -> dict:

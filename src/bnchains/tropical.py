@@ -51,18 +51,24 @@ _MAX_SWEEP_WIDTH = 10**6
 
 def _check_width(width: int) -> None:
     if width > _MAX_SWEEP_WIDTH:
-        raise TropicalTooLargeError(
-            f"sweep width {width} exceeds the cap {_MAX_SWEEP_WIDTH}"
-        )
+        shown = f" {width}" if width < 10**100 else ""  # str() stops at 4,300 digits
+        raise TropicalTooLargeError(f"sweep width{shown} exceeds the cap {_MAX_SWEEP_WIDTH}")
 
 
 def _exact(x) -> Fraction:
-    """``x`` as a Fraction; floats and bools are refused with ``ValueError``."""
+    """``x`` as a Fraction: a Fraction, an int, or a string such as "-3/4" or "0.25".
+
+    The one reader of outside rationals.  Other types, a zero denominator and
+    exponent forms raise ``ValueError``: ``Fraction("1e10000000")`` is 10**(10**7).
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (float, bool)):
-        raise ValueError(f"expected an exact rational, got {x!r}")
-    return Fraction(x)
+    if type(x) is int or isinstance(x, str) and "e" not in x and "E" not in x:
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the rational {x!r}") from None
+    raise ValueError(f"expected a rational as \"p/q\", got {x!r}")
 
 
 @dataclass(frozen=True)

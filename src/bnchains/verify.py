@@ -69,7 +69,9 @@ class SuiteResult:
 # Units of work a suite may sweep: one per tableau on one geometry and one
 # per winnability trial.  ``verify --g-max 6`` with the defaults sweeps 954
 # and ``--g-max 11`` 82,923; the tableaux grow about threefold with each
-# genus, so ``--g-max 12`` (227,682) is refused.
+# genus, so ``--g-max 12`` (227,682) is refused.  Near the cap ``--g-max 11``
+# took 14.4 s and ``--g-max 12 --geometries 1`` (75,874 and 100 trials) 22.9 s,
+# a check costing more at a higher genus (2-core machine, Python 3.11).
 SWEEP_WORK_CAP = 100_000
 
 # Oracle rank trials are capped apart from the sweep: each is an exhaustive

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bnchains import BNParams, eh_series_from_tableau, enumerate_tableaux
+from bnchains import BNParams, ChainGeometry, eh_series_from_tableau, enumerate_tableaux
 from bnchains import oracle, serialize as ser
 from bnchains.cli import (
     JSON_BATCH_BYTES,
@@ -702,11 +702,15 @@ _CHAIN_DIVISOR = {"points": [
     {"node": 2, "mult": -1},
 ]}
 # wrong types, bools, floats, huge integers, out-of-range nodes and loops,
-# zero, negative and unparsable lengths and coordinates
+# zero, negative and unparsable lengths and coordinates, and exponent forms,
+# which would build 10^(10^7) if they were read
 _CHAIN_VALUES = st.one_of(
     _JSON,
     st.sampled_from([True, False, 0, -1, 2, 3, 10**9, 2**64, 10**30, -(10**18), 1.0, 2.5, 1e300]),
-    st.sampled_from(["0/1", "-3/1", "1/0", "7/3", "1/1000003", "10000000000/1", "1e3", "x", ""]),
+    st.sampled_from([
+        "0/1", "-3/1", "1/0", "7/3", "1/1000003", "10000000000/1", "1e3", "x", "",
+        "1e10000000", "1E-10000000",
+    ]),
 )
 
 
@@ -755,20 +759,81 @@ def _chain_inputs(draw):
 )
 def test_chain_commands_exit_cleanly_on_any_file(capsys, monkeypatch, tmp_path, texts, command):
     # whatever the geometry and divisor files hold, tropical rank and table
-    # and oracle rank and winnable answer 0, 1 or 2 and never a traceback;
-    # the oracle's caps are lowered so that each example answers quickly
+    # and oracle rank and winnable answer 0, 1 or 2 within 5 s and never a
+    # traceback; the oracle's caps are lowered so that each example answers
+    # quickly
     monkeypatch.setattr(oracle, "ORACLE_EDGE_CAP", 60)
     monkeypatch.setattr(oracle, "ORACLE_DEGREE_CAP", 3)
     geom_path = tmp_path / "geom.json"
     div_path = tmp_path / "div.json"
     for path, text in zip((geom_path, div_path), texts):
         path.write_text(text)
+    start = time.perf_counter()
     code, _, err = run(
         capsys, *command[:2], "--geometry", str(geom_path), "--divisor", str(div_path),
         *command[2:],
     )
+    elapsed = time.perf_counter() - start
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert elapsed < 5.0, (texts, command, elapsed)
+
+
+def test_exponent_rational_exits_one_at_once(capsys, tmp_path):
+    # Fraction("1e10000000") builds 10^(10^7), which took 11 s before a cap
+    # could run; the one reader of rationals refuses exponent forms
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps({"g": 1, "loops": [{"l": "1e10000000", "m": "1"}]}))
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 1}]}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "tropical", "rank", "--geometry", str(geom_path), "--divisor", str(div_path)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, ""), err
+    assert "rational" in err and "Traceback" not in err
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rational"):
+        ChainGeometry((("1e10000000", 1),))
+    assert time.perf_counter() - start < 1.0
+
+
+# counts past the 4,300 digits that str() turns into text: twice the largest
+# int that JSON reads, and three loops whose lcm of denominators has 4,501 digits
+_HUGE = int("9" * 4300)
+_HUGE_DIVISOR = {"points": [{"node": 0, "mult": _HUGE}, {"node": 1, "mult": _HUGE}]}
+_HUGE_TABLEAU = {"g": _HUGE, "d": _HUGE, "r": 1, "rows": [[1, 2]]}
+_FINE_GEOMETRY = {
+    "g": 3, "loops": [{"l": f"1/{10**1500 + k}", "m": "1/1"} for k in (1, 3, 7)]
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (("oracle", "winnable"), {
+            "--geometry": _FINE_GEOMETRY, "--divisor": {"points": [{"node": 0, "mult": 1}]},
+        }),
+        (("oracle", "rank"), {"--geometry": _CHAIN_GEOMETRY, "--divisor": _HUGE_DIVISOR}),
+        (("oracle", "winnable"), {"--geometry": _CHAIN_GEOMETRY, "--divisor": _HUGE_DIVISOR}),
+        (("tropical", "rank"), {"--geometry": _CHAIN_GEOMETRY, "--divisor": _HUGE_DIVISOR}),
+        (("eh",), {"--tableau": _HUGE_TABLEAU}),
+        (("effective",), {"--tableau": _HUGE_TABLEAU}),
+    ],
+    ids=["subdivide_chain", "bn_rank", "_chip_list", "_check_width", "eh", "effective"],
+)
+def test_cap_refusal_of_a_huge_count_exits_two(capsys, tmp_path, argv, files):
+    # each cap names only itself when the count is too long to print
+    for flag, obj in files.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(obj))
+        argv += (flag, str(path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, ""), err
+    assert "cap" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["winnable", "rank"])
@@ -1071,9 +1136,12 @@ _FLAG_INTS = st.one_of(
 # the last word is 10^4400, past the 4,300 digits int reads from text
 _FLAG_WORDS = st.sampled_from(["x", "1.5", "", "3e2", "0x10", "--", "nan", "1" + "0" * 4400])
 
-# verify's counts, drawn so that every run is refused or ends within a second
+# verify's counts, drawn so that every run is refused or ends within a second:
+# --g-max 13 sweeps 216,381 tableau checks at one geometry, past SWEEP_WORK_CAP
+# for every --geometries, while 12 at one geometry (75,874) is admitted and
+# takes seconds
 _VERIFY_VALUES = {
-    "--g-max": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(12, 10**9)),
+    "--g-max": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(13, 10**9)),
     "--geometries": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(10**5, 10**9)),
     "--winnability-trials": st.one_of(
         st.integers(-3, -1), st.integers(0, 100), st.integers(10**5 + 1, 10**9)

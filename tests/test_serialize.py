@@ -25,6 +25,7 @@ from bnchains import (
 )
 from bnchains import serialize as ser
 from bnchains.render import render_eh_series, render_effective_series
+from bnchains.tropical import _exact
 from bnchains.verify import sweep_params
 
 from worked_example import tableau_662
@@ -40,15 +41,25 @@ def through_json(obj):
 
 
 def test_fraction_strings():
+    # rationals are written by frac_to_str and read by tropical._exact alone
     assert ser.frac_to_str(F(13)) == "13/1"
-    assert ser.frac_from_str("13/1") == 13
-    assert ser.frac_from_str("13") == 13
-    assert ser.frac_from_str("-3/4") == F(-3, 4)
+    assert _exact("13/1") == 13
+    assert _exact("13") == 13
+    assert _exact("-3/4") == F(-3, 4)
     with pytest.raises(ValueError, match="1/0"):
-        ser.frac_from_str("1/0")
-    for bad in (None, [1], True, 1.5):
+        _exact("1/0")
+    for bad in (None, [1], True, 1.5, "1e3", "1E-3"):
         with pytest.raises(ValueError, match="rational"):
-            ser.frac_from_str(bad)
+            _exact(bad)
+    # the readers hand a file's rational to _exact as it is
+    geom = ser.geometry_from_obj({"g": 1, "loops": [{"l": "13", "m": "0.75"}]})
+    assert geom.lengths == ((F(13), F(3, 4)),)
+    assert ser.point_from_obj({"loop": 1, "coord": 2}, geom) == Interior(1, F(2))
+    for bad in ("1/0", None, True, 1.5, "1e3"):
+        with pytest.raises(ValueError, match="rational"):
+            ser.geometry_from_obj({"g": 1, "loops": [{"l": bad, "m": "1/1"}]})
+        with pytest.raises(ValueError, match="rational"):
+            ser.point_from_obj({"loop": 1, "coord": bad}, geom)
 
 
 def test_tableau_round_trip():

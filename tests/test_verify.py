@@ -24,6 +24,11 @@ def test_sweep_cap_admits_the_default_sweep():
         vf._check_sweep_size(g_max, 3, 60, 15)
     with pytest.raises(vf.VerifyTooLargeError):
         vf._check_sweep_size(12, 3, 60, 15)
+    # at one geometry, g_max 12 is 75,874 tableau checks and is admitted,
+    # while 13 is 216,381 and is refused even with no trials
+    vf._check_sweep_size(12, 1, 100, 50)
+    with pytest.raises(vf.VerifyTooLargeError):
+        vf._check_sweep_size(13, 1, 0, 0)
     with pytest.raises(vf.VerifyTooLargeError):
         vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP, 1)
     vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP - 3, vf.RANK_TRIAL_CAP)
