@@ -7,7 +7,8 @@ vanishing tables (closed form, effective, dynamic tropical) on randomized
 generic geometries.  A budgeted slice of randomized divisors is additionally
 cross-checked against the chip-firing oracle.  The calling process draws
 every geometry; shards of triples, forked but for the first, enumerate and
-check their own (see :func:`run_suite`).  Every failure carries a JSON
+check their own, and a shard whose child gives no answer is swept again by
+the calling process (see :func:`run_suite`).  Every failure carries a JSON
 reproducer that is exactly the failed check's input: the tableau, plus the
 geometry and seed for a check on a geometry, which
 ``_tableau_failure(tableau, [geometry], seed)`` replays; the parameter
@@ -66,13 +67,14 @@ class SuiteResult:
         return not self.failures
 
 
-# Units of work a suite may sweep: one per tableau on one geometry and one
-# per winnability trial.  ``verify --g-max 6`` with the defaults sweeps 954
-# and ``--g-max 11`` 82,923; the tableaux grow about threefold with each
-# genus, so ``--g-max 12`` (227,682) is refused.  Near the cap ``--g-max 11``
-# took 14.4 s and ``--g-max 12 --geometries 1`` (75,874 and 100 trials) 22.9 s,
-# a check costing more at a higher genus (2-core machine, Python 3.11).
-SWEEP_WORK_CAP = 100_000
+# Units of work a suite may sweep: per tableau one for its series checks,
+# which cost about as much as one geometry, and one per geometry; two per
+# winnability trial.  ``verify --g-max 6`` with the defaults sweeps 1,312
+# and ``--g-max 11`` 110,604; the tableaux grow about threefold with each
+# genus, so ``--g-max 12`` is refused even at one geometry (151,748), where
+# it took 22.9 s.  Near the cap ``--g-max 11`` took 11.5 s and ``--g-max 10
+# --geometries 10`` (114,432) 10.2 s (2-core machine, Python 3.11).
+SWEEP_WORK_CAP = 120_000
 
 # Oracle rank trials are capped apart from the sweep: each is an exhaustive
 # ``bn_rank``, on average 0.25 ms at ``--g-max 1`` and 0.55 ms at ``--g-max
@@ -124,16 +126,16 @@ def _check_sweep_size(
             f"verify runs at most {RANK_TRIAL_CAP} oracle rank trials, got "
             f"{rank_trials}; lower --rank-trials"
         )
-    work = winnability_trials
+    work = 2 * winnability_trials
     g = 0
     while work <= SWEEP_WORK_CAP and g < g_max:
         g += 1
         tableaux = sum(count_components(p) for p in _genus_params(g))
-        work += geometries_per_param * tableaux
+        work += (geometries_per_param + 1) * tableaux
     if work > SWEEP_WORK_CAP:
         raise VerifyTooLargeError(
-            f"verify would sweep more than {SWEEP_WORK_CAP} tableau checks and "
-            "winnability trials; lower --g-max, --geometries or --winnability-trials"
+            f"verify would sweep more than {SWEEP_WORK_CAP} units of tableau checks "
+            "and winnability trials; lower --g-max, --geometries or --winnability-trials"
         )
 
 
@@ -178,14 +180,13 @@ def run_suite(
     forked children that send their checks back as JSON over a pipe; the
     calling process sweeps the first shard, made lighter by the weight of
     the oracle trials (:data:`ORACLE_TRIAL_WEIGHT` each), and then runs
-    those trials.  Results are merged in triple order, so the result is the
-    same for any number of shards, and the first exception in sweep order
-    reaches the caller with its type and message, as from a sweep in one
-    process (a child's exception that cannot be pickled comes as a
-    RuntimeError naming both).  Every child is waited for, and killed first
-    if the sweep failed, before this returns.  A shard no child can be
-    forked for runs in the calling process, as does the whole sweep without
-    ``os.fork`` or ``os.sched_getaffinity`` or with other threads running.
+    those trials.  A shard no child answers for, or none could be forked
+    for, is swept by the calling process, so a child's exception is raised
+    again there.  Results are merged in triple order, so the result and the
+    first exception in sweep order are the same for any number of shards.
+    Every child is waited for, and killed first if the sweep failed, before
+    this returns.  Without ``os.fork`` or ``os.sched_getaffinity`` or with
+    other threads running, the whole sweep runs in the calling process.
     """
     _check_sweep_size(
         g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
@@ -202,9 +203,8 @@ def run_suite(
         for run in _shard_runs(weights, lead, _shard_count(len(sweeps)))
     ]
 
-    # per shard past the first: its child's pid and pipe, or the shard itself
-    # if no child could be forked for it and it is left to this process
-    pending: list[list | tuple[int, int]] = []
+    # per shard past the first: its child's pid and pipe, or two Nones, and the shard
+    pending: list[tuple[int | None, int | None, list]] = []
     try:
         for shard in rest:
             pending.append(_fork_sweep(shard, seed))
@@ -216,11 +216,11 @@ def run_suite(
         except Exception as exc:  # raised after the shards', as in sweep order
             oracle = exc
         while pending:
-            parts.append(_collect(pending.pop(0), seed))
+            parts.append(_collect(*pending.pop(0), seed))
     finally:
-        for child in pending:
-            if isinstance(child, tuple):
-                _kill(*child)
+        for pid, fd, _ in pending:
+            if pid is not None:
+                _kill(pid, fd)
     if isinstance(oracle, Exception):
         raise oracle
     parts.append(oracle)
@@ -313,52 +313,35 @@ def _shard_runs(weights: list[int], lead: int, count: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _fork_sweep(shard: list, seed: int) -> list | tuple[int, int]:
-    """Fork a child that sweeps ``shard``; its pid and the pipe it answers on.
+def _fork_sweep(shard: list, seed: int) -> tuple[int | None, int | None, list]:
+    """Fork a child that sweeps ``shard``: its pid, the pipe it answers on, and ``shard``.
 
-    The child writes ``[checks_run, failures]`` as JSON and exits 0, or the
-    pickled exception its sweep raised and exits 1.  Where no pipe or child
-    can be made, ``shard`` itself, for :func:`_collect` to sweep here.
+    The child writes ``[checks_run, failures]`` as JSON and exits 0; if its
+    sweep raises, it writes nothing and exits 1.  Where no pipe or child can
+    be made, the pid and pipe are None, for :func:`_collect` to sweep here.
     """
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return shard
+        return None, None, shard
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return shard
+        return None, None, shard
     if pid:
         os.close(write_fd)
-        return pid, read_fd
-    status = 1
+        return pid, read_fd, shard
     try:
         os.close(read_fd)
-        try:
-            part = _sweep(shard, seed)
-            failures = [[f.check, f.detail, f.reproducer] for f in part.failures]
-            payload = json.dumps([part.checks_run, failures]).encode()
-            status = 0
-        except BaseException as exc:  # the parent raises it again
-            payload = _pickled(exc)
+        part = _sweep(shard, seed)
+        failures = [[f.check, f.detail, f.reproducer] for f in part.failures]
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
+            pipe.write(json.dumps([part.checks_run, failures]).encode())
+        os._exit(0)
     finally:
-        os._exit(status)
-
-
-def _pickled(exc: BaseException) -> bytes:
-    """``exc`` pickled, or a RuntimeError with its type and message if it does not round-trip."""
-    import pickle  # only a failing shard needs it
-
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        os._exit(1)
 
 
 def _kill(pid: int, fd: int) -> None:
@@ -370,30 +353,27 @@ def _kill(pid: int, fd: int) -> None:
     os.close(fd)
 
 
-def _collect(child: list | tuple[int, int], seed: int) -> SuiteResult:
-    """Sweep a shard :func:`_fork_sweep` gave back, or read, reap and decode its child.
+def _collect(pid: int | None, fd: int | None, shard: list, seed: int) -> SuiteResult:
+    """The checks of ``shard``: its child's answer, or a sweep here.
 
-    A child's answer is its checks, or the exception it raised, raised again
-    here; a read cut short kills the child instead.
+    With no child, or a child that exits other than with status 0 (its sweep
+    raised, or it was killed), ``shard`` is swept here; the sweep is
+    deterministic given ``(shard, seed)``, so an exception the child raised
+    is raised again here with its own type, message and traceback.  A read
+    cut short kills the child instead.
     """
-    if not isinstance(child, tuple):
-        return _sweep(child, seed)
-    pid, fd = child
+    if pid is None:
+        return _sweep(shard, seed)
     try:
         payload = os.fdopen(fd, "rb", closefd=False).read()
     except BaseException:  # the caller no longer holds the child to kill
         _kill(pid, fd)
         raise
     os.close(fd)
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
-        checks_run, failures = json.loads(payload)
-        return SuiteResult(checks_run, [VerifyFailure(*f) for f in failures])
-    if status == 1 and payload:
-        import pickle
-
-        raise pickle.loads(payload)
-    raise RuntimeError(f"a verify shard process ended with status {status}")
+    if os.waitpid(pid, 0)[1]:  # any wait status but a clean exit 0
+        return _sweep(shard, seed)
+    checks_run, failures = json.loads(payload)
+    return SuiteResult(checks_run, [VerifyFailure(*f) for f in failures])
 
 
 def _tableau_failure(

@@ -1137,9 +1137,10 @@ _FLAG_INTS = st.one_of(
 _FLAG_WORDS = st.sampled_from(["x", "1.5", "", "3e2", "0x10", "--", "nan", "1" + "0" * 4400])
 
 # verify's counts, drawn so that every run is refused or ends within a second:
-# --g-max 13 sweeps 216,381 tableau checks at one geometry, past SWEEP_WORK_CAP
-# for every --geometries, while 12 at one geometry (75,874) is admitted and
-# takes seconds
+# --g-max 13 counts 432,762 units of sweep work at one geometry, past
+# SWEEP_WORK_CAP (120,000) for every --geometries, as does 12 (151,748);
+# --geometries 10^5 counts 300,003 at --g-max 1, and --winnability-trials
+# 10^5 + 1 counts 200,002 before any tableau
 _VERIFY_VALUES = {
     "--g-max": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(13, 10**9)),
     "--geometries": st.one_of(st.integers(-3, 0), st.integers(1, 3), st.integers(10**5, 10**9)),

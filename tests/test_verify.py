@@ -24,14 +24,19 @@ def test_sweep_cap_admits_the_default_sweep():
         vf._check_sweep_size(g_max, 3, 60, 15)
     with pytest.raises(vf.VerifyTooLargeError):
         vf._check_sweep_size(12, 3, 60, 15)
-    # at one geometry, g_max 12 is 75,874 tableau checks and is admitted,
-    # while 13 is 216,381 and is refused even with no trials
-    vf._check_sweep_size(12, 1, 100, 50)
+    # a tableau counts its series checks besides each geometry: at one
+    # geometry g_max 12 is 75,874 tableaux, 151,748 units, and is refused
+    vf._check_sweep_size(10, 10, 60, 15)
+    for g_max in (12, 13):
+        with pytest.raises(vf.VerifyTooLargeError):
+            vf._check_sweep_size(g_max, 1, 0, 0)
     with pytest.raises(vf.VerifyTooLargeError):
-        vf._check_sweep_size(13, 1, 0, 0)
+        vf._check_sweep_size(1, 10**5, 0, 0)
+    # a winnability trial is two units, and g_max 1 three tableaux
+    trials = (vf.SWEEP_WORK_CAP - 6) // 2
+    vf._check_sweep_size(1, 1, trials, vf.RANK_TRIAL_CAP)
     with pytest.raises(vf.VerifyTooLargeError):
-        vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP, 1)
-    vf._check_sweep_size(1, 1, vf.SWEEP_WORK_CAP - 3, vf.RANK_TRIAL_CAP)
+        vf._check_sweep_size(1, 1, trials + 1, 1)
     # rank trials have a cap of their own and are not sweep work
     with pytest.raises(vf.VerifyTooLargeError, match="rank trials"):
         vf._check_sweep_size(1, 1, 0, vf.RANK_TRIAL_CAP + 1)
@@ -319,25 +324,59 @@ def test_unpicklable_child_exception_keeps_type_and_message(monkeypatch):
         pass
 
     _raise_on(monkeypatch, vf.sweep_params(6)[-1], Local("not importable"))
-    assert _raised(monkeypatch, 2) == (RuntimeError, "Local: not importable")
+    assert _raised(monkeypatch, 2) == (Local, "not importable")
 
 
-def test_child_that_dies_without_answering_raises(monkeypatch):
+def _kill_children_on(monkeypatch, params):
+    # a child, and only a child, kills itself when it reaches ``params``
     import signal
 
-    last = vf.sweep_params(6)[-1]
+    parent = os.getpid()
     original = vf._tableau_failure
 
     def dying(t, geoms, seed):
-        if t.params == last:
+        if t.params == params and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return original(t, geoms, seed)
 
     monkeypatch.setattr(vf, "_tableau_failure", dying)
-    assert _raised(monkeypatch, 2) == (
-        RuntimeError,
-        "a verify shard process ended with status -9",
-    )
+
+
+def test_child_that_dies_without_answering_is_swept_again(monkeypatch):
+    import signal
+
+    _tamper_closed_form(monkeypatch)
+    _force_shards(monkeypatch, 1)
+    serial = _suite_bytes(vf.run_suite(6, 1))
+    _kill_children_on(monkeypatch, vf.sweep_params(6)[-1])
+    statuses = []
+    real_waitpid = os.waitpid
+
+    def waitpid(pid, options):
+        pid, status = real_waitpid(pid, options)
+        statuses.append(status)
+        return pid, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    _force_shards(monkeypatch, 2)
+    assert _suite_bytes(vf.run_suite(6, 1)) == serial
+    assert [os.WTERMSIG(status) for status in statuses] == [signal.SIGKILL]
+    _assert_no_child_left()
+
+
+def test_verify_with_a_killed_child_prints_the_one_shard_output(capsys, monkeypatch):
+    from bnchains.cli import main
+
+    _force_shards(monkeypatch, 1)
+    assert main(["verify"]) == 0
+    serial = capsys.readouterr()
+    _kill_children_on(monkeypatch, vf.sweep_params(6)[-1])
+    forked = _count_forks(monkeypatch)
+    _force_shards(monkeypatch, 2)
+    assert main(["verify"]) == 0
+    assert capsys.readouterr() == serial
+    assert len(forked) == 1
+    _assert_no_child_left()
 
 
 def test_interrupted_wait_kills_the_child(monkeypatch):
@@ -412,7 +451,8 @@ def test_threads_keep_the_sweep_in_one_process(monkeypatch):
 
 
 def test_passing_sharded_sweep_imports_neither_pickle_nor_signal():
-    # only a failing shard needs pickle, and only a failed sweep signal
+    # nothing needs pickle, and only a failed sweep signal; a child whose
+    # sweep raises answers nothing, and the parent sweeps its shard again
     import subprocess
     import sys
     from pathlib import Path
@@ -427,13 +467,28 @@ def test_passing_sharded_sweep_imports_neither_pickle_nor_signal():
         "fork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
         "vf._shard_count = lambda triples: min(2, triples)\n"
-        "assert vf.run_suite(3, 0).passed and forks\n"
+        "last, check = vf.sweep_params(3)[-1], vf._tableau_failure\n"
+        "def failing(t, geoms, seed):\n"
+        "    if t.params == last:\n"
+        "        raise KeyError(last)\n"
+        "    return check(t, geoms, seed)\n"
+        "if sys.argv[1] == 'raising':\n"
+        "    vf._tableau_failure = failing\n"
+        "try:\n"
+        "    assert vf.run_suite(3, 0).passed and forks\n"
+        "except KeyError:\n"
+        "    assert sys.argv[1] == 'raising' and forks\n"
         "print(sorted({'pickle', 'signal'} & set(sys.modules)))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out == "[]\n"
+    for case in ("passing", "raising"):
+        out = subprocess.run(
+            [sys.executable, "-c", script, case],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout
+        assert out == "[]\n", case
 
 
 def test_suite_detects_wrong_rank(monkeypatch):
