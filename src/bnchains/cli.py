@@ -402,7 +402,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CLIError, SamplingError, ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:  # a JSON object without a field its reader needs
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 1
+    except (CLIError, SamplingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

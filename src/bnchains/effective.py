@@ -27,7 +27,7 @@ from .elliptic import (
     VanishingSequence,
     check_eh_series,
 )
-from .tableaux import BNParams, Tableau
+from .tableaux import BNParams, Tableau, _unchecked
 
 
 class NotRefinedError(ValueError):
@@ -43,7 +43,8 @@ class EffectiveSeries:
     vanishing at P_i / Q_i of the retained section space.  Construction checks
     shapes and bundle degrees; the series conditions live in
     :func:`check_effective`.  :func:`eh_to_effective`, whose output has those
-    shapes and degrees by construction, builds through :meth:`_trusted`.
+    shapes and degrees by construction, builds through
+    :func:`~bnchains.tableaux._unchecked`.
     """
 
     params: BNParams
@@ -71,26 +72,6 @@ class EffectiveSeries:
         for seq in (*self.w_p, *self.w_q):
             if len(seq.orders) != p.k:
                 raise ValueError(f"vanishing sequences must have length {p.k}")
-
-    @classmethod
-    def _trusted(
-        cls,
-        params: BNParams,
-        degrees: tuple[int, ...],
-        bundles: tuple[BundleClass, ...],
-        w_p: tuple[VanishingSequence, ...],
-        w_q: tuple[VanishingSequence, ...],
-        node_degrees: tuple[int, ...],
-    ) -> "EffectiveSeries":
-        """A series already of the checked shapes, degrees and labels, built unchecked."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "params", params)
-        object.__setattr__(series, "degrees", degrees)
-        object.__setattr__(series, "bundles", bundles)
-        object.__setattr__(series, "w_p", w_p)
-        object.__setattr__(series, "w_q", w_q)
-        object.__setattr__(series, "node_degrees", node_degrees)
-        return series
 
 
 def check_effective(series: EffectiveSeries) -> SeriesCheck:
@@ -168,8 +149,9 @@ def eh_to_effective(series: EHSeries) -> EffectiveSeries:
         else:
             bundles.append(BundleClass.generic(i, d_i, tag=bundle.tag))
     node_degrees = tuple([d - low_q - low_p for low_q, low_p in zip(q_low, p_low)])
-    return EffectiveSeries._trusted(
-        p, tuple(degrees), tuple(bundles), tuple(w_p), tuple(w_q), node_degrees
+    return _unchecked(
+        EffectiveSeries, params=p, degrees=tuple(degrees), bundles=tuple(bundles),
+        w_p=tuple(w_p), w_q=tuple(w_q), node_degrees=node_degrees,
     )
 
 
@@ -222,7 +204,10 @@ def effective_to_eh(series: EffectiveSeries) -> EHSeries:
             a = node_degrees[j - 1]
             d_left += degrees[j - 1] - a
             d_right -= degrees[j] - a
-    return EHSeries._trusted(p, tuple(bundles), tuple(vanish_p), tuple(vanish_q))
+    return _unchecked(
+        EHSeries, params=p, bundles=tuple(bundles),
+        vanish_p=tuple(vanish_p), vanish_q=tuple(vanish_q),
+    )
 
 
 def effective_vanishing_from_tableau(t: Tableau, i: int) -> VanishingSequence:

@@ -81,6 +81,16 @@ def count_components(params: BNParams) -> int:
     return comb(params.g, params.rho) * shapes
 
 
+def _unchecked(cls, **fields):
+    """A frozen ``cls`` from ``fields`` already of the checked types and shapes, unchecked.
+
+    Only the library's builders call it; outside input goes through the constructors.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A filling of the ``k x kbar`` rectangle with indices from ``{1..g}``.
@@ -90,8 +100,8 @@ class Tableau:
     structural shape (kbar rows of width k, distinct entries in range) on
     every tableau built from outside, such as a parsed file; monotonicity
     along rows and columns is the job of :func:`validate_tableau`.
-    :func:`enumerate_tableaux` builds its tableaux valid by construction and
-    skips the constructor's checks.
+    :func:`enumerate_tableaux` builds its tableaux valid by construction,
+    through :func:`_unchecked`, and skips the constructor's checks.
     """
 
     params: BNParams
@@ -113,14 +123,6 @@ class Tableau:
         for v in entries:
             if not 1 <= v <= p.g:
                 raise ValueError(f"entry {v} outside 1..{p.g}")
-
-    @classmethod
-    def _trusted(cls, params: BNParams, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
-        """A tableau from int rows already of the checked shape, built unchecked."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "params", params)
-        object.__setattr__(t, "rows", rows)
-        return t
 
     @cached_property
     def _positions(self) -> dict[int, tuple[int, int]]:
@@ -285,9 +287,8 @@ def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
     rho = params.rho
     if rho < 0 or params.kbar < 0:
         return
-    make = Tableau._trusted
     if params.kbar == 0:
-        yield make(params, ())
+        yield _unchecked(Tableau, params=params, rows=())
         return
     universe = range(1, params.g + 1)
     for free in combinations(universe, rho):
@@ -295,4 +296,5 @@ def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
         # label[v]: the index placed in the cell that holds v in the filling
         label = [0, *(i for i in universe if i not in free_set)].__getitem__
         for shape in _standard_fillings(params.k, params.kbar):
-            yield make(params, tuple([tuple(map(label, row)) for row in shape]))
+            rows = tuple([tuple(map(label, row)) for row in shape])
+            yield _unchecked(Tableau, params=params, rows=rows)

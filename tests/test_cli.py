@@ -641,6 +641,57 @@ def test_tropical_sweep_over_cap_exits_two(capsys, geometry_file, tmp_path):
     assert "cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, loops, width",
+    [(("rank",), 30, 10**6), (("table", "--r", str(10**5)), 50, 10**5)],
+    ids=["rank", "table"],
+)
+def test_tropical_cap_counts_loop_steps(capsys, tmp_path, command, loops, width):
+    # the work and memory grow with g times the width: a rank sweep of width
+    # 10^6 on 30 loops took 4.7 s and a table of r = 10^5 on 50 loops held
+    # 212 MB before the cap counted loops
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps(
+        {"g": loops, "loops": [{"l": f"{100 + k}/1", "m": "1/1"} for k in range(loops)]}
+    ))
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": width}]}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "tropical", *command, "--divisor", str(div_path), "--geometry", str(geom_path)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, ""), err
+    assert "cap" in err and "Traceback" not in err
+
+
+_GEOMETRY_1 = {"g": 1, "loops": [{"l": "2/1", "m": "1/1"}]}
+_DIVISOR_1 = {"points": [{"node": 0, "mult": 1}]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, field",
+    [
+        (("eh",), {"--tableau": {"g": 6, "d": 6, "r": 2}}, "rows"),
+        (("effective",), {"--from-eh": {"g": 6, "d": 6, "r": 2}}, "components"),
+        (("tropical", "rank"), {
+            "--geometry": {"g": 1, "loops": [{"l": "2/1"}]}, "--divisor": _DIVISOR_1,
+        }, "m"),
+        (("tropical", "rank"), {
+            "--geometry": _GEOMETRY_1, "--divisor": {"points": [{"node": 0}]},
+        }, "mult"),
+    ],
+    ids=["tableau", "series", "geometry", "divisor"],
+)
+def test_missing_field_is_named_as_missing(capsys, tmp_path, argv, files, field):
+    for flag, obj in files.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(obj))
+        argv += (flag, str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: missing field '{field}'\n")
+
+
 def test_deeply_nested_json_exits_one(capsys, geometry_file, tmp_path):
     div_path = tmp_path / "div.json"
     div_path.write_text("[" * 100_000)

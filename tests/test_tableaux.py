@@ -1,11 +1,14 @@
+import ast
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bnchains
 from bnchains import (
     BNParams,
     Tableau,
@@ -263,6 +266,50 @@ def test_enumerated_tableaux_equal_checked_ones():
         for t in enumerate_tableaux(p):
             assert Tableau(t.params, t.rows) == t
             assert validate_tableau(t)
+
+
+def _mentions(node, name, scope=()):
+    """``(kind, scope)`` for each mention of ``name`` under ``node``, by enclosing def or class."""
+    children = list(ast.iter_child_nodes(node))
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if node.name == name:
+            yield "def", scope
+        scope = (*scope, node.name)
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+        yield "call", scope
+        children.remove(node.func)  # the callee is this call; its arguments are walked
+    elif isinstance(node, ast.Name) and node.id == name:
+        yield "name", scope
+    elif isinstance(node, ast.Attribute) and node.attr == name:
+        yield "attribute", scope
+    elif isinstance(node, ast.alias) and node.name == name:
+        yield "import" if node.asname is None else "renamed import", scope
+    elif isinstance(node, ast.Constant) and node.value == name:
+        yield "string", scope
+    for child in children:
+        yield from _mentions(child, name, scope)
+
+
+def test_unchecked_is_called_only_by_the_library_builders():
+    # _unchecked skips every check, so only builders whose values are valid
+    # by construction may call it; serialize and cli, which read outside
+    # input, must go through the constructors
+    found = set()
+    for path in sorted(Path(bnchains.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for kind, scope in _mentions(tree, "_unchecked"):
+            found.add((path.stem, kind, ".".join(scope)))
+    assert found == {
+        ("tableaux", "def", ""),
+        ("tableaux", "call", "enumerate_tableaux"),
+        ("elliptic", "import", ""),
+        ("elliptic", "call", "BundleClass.special"),
+        ("elliptic", "call", "BundleClass.generic"),
+        ("elliptic", "call", "eh_series_from_tableau"),
+        ("effective", "import", ""),
+        ("effective", "call", "eh_to_effective"),
+        ("effective", "call", "effective_to_eh"),
+    }
 
 
 def test_column_fill_matches_a_count():
