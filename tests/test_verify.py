@@ -95,12 +95,19 @@ def _flip_winnability(monkeypatch):
     )
 
 
+def _raise_tropical_rank(monkeypatch):
+    """Add one to the tropical side of every rank trial."""
+    original = vf.tropical_rank
+    monkeypatch.setattr(vf, "tropical_rank", lambda geom, divisor: original(geom, divisor) + 1)
+
+
 # SHA-256 of the stdout of ``bnchains verify --g-max 5 --seed 3`` under each
 # fault, from the sweep in one process, before it was split into shards
 # (commit 2a50ee6).  The closed-form fault fails 69 table agreements (33,739
 # bytes); the winnability fault fails all 60 winnability trials (27,564
 # bytes), whose reproducers pin the random stream the trials draw after the
-# geometries.
+# geometries.  The rank fault, pinned at commit 2c8101c, fails all 15 rank
+# trials (6,044 bytes), which draw after the winnability trials.
 PINNED_VERIFY_STDOUT = {
     "closed form": (
         _tamper_closed_form,
@@ -113,6 +120,12 @@ PINNED_VERIFY_STDOUT = {
         "FAIL [winnability agreement]",
         60,
         "ed5db70d44c9e8fb14c6de638db4d1c069a6adfc19298ab979e01384a0fa9f93",
+    ),
+    "rank": (
+        _raise_tropical_rank,
+        "FAIL [rank agreement]",
+        15,
+        "aecdc6f1a01fb27d86a02d0c28821c84eaf07f139f531cc6895d588f7268012c",
     ),
 }
 
