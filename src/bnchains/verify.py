@@ -153,14 +153,6 @@ def random_generic_geometry(g: int, rng: random.Random) -> ChainGeometry:
             return geom
 
 
-def _tableau_repro(t: Tableau, geom: ChainGeometry | None, seed: int) -> dict:
-    repro: dict = {"tableau": serialize.tableau_to_obj(t)}
-    if geom is not None:
-        repro["geometry"] = serialize.geometry_to_obj(geom)
-        repro["seed"] = seed
-    return repro
-
-
 def run_suite(
     g_max: int,
     seed: int = 0,
@@ -234,45 +226,38 @@ def _sweep(shard: list, seed: int) -> SuiteResult:
     """The component count of each ``(params, geometries)`` and every tableau's checks."""
     result = SuiteResult()
     for params, geoms in shard:
-        result.checks_run += 1
         tableaux = list(enumerate_tableaux(params))
-        if len(tableaux) != count_components(params):
-            result.failures.append(
-                VerifyFailure(
-                    "component count",
-                    f"{params}: enumerated {len(tableaux)}, "
-                    f"closed form {count_components(params)}",
-                    {"params": [params.g, params.d, params.r]},
-                )
-            )
+        count = count_components(params)
+        miscounted = len(tableaux) != count
+        detail = f"{params}: enumerated {len(tableaux)}, closed form {count}"
+        _record(result, "component count", detail if miscounted else None, params=params)
+        if miscounted:
             continue
         for t in tableaux:
-            result.checks_run += 1
-            failure = _tableau_failure(t, geoms, seed)
-            if failure is not None:
-                check, detail, geom = failure
-                result.failures.append(
-                    VerifyFailure(check, detail, _tableau_repro(t, geom, seed))
-                )
+            check, detail, geom = _tableau_failure(t, geoms, seed) or (None, None, None)
+            on = {} if geom is None else {"geometry": geom, "seed": seed}
+            _record(result, check, detail, tableau=t, **on)
     return result
 
 
-def _oracle_checks(
-    rng: random.Random, g_max: int, winnability_trials: int, rank_trials: int
-) -> SuiteResult:
-    result = SuiteResult()
-    for check, geom, divisor, tropical_side, oracle_side in _oracle_trials(
-        rng, g_max, winnability_trials, rank_trials
-    ):
-        result.checks_run += 1
-        if tropical_side != oracle_side:
-            repro = {
-                "geometry": serialize.geometry_to_obj(geom),
-                "divisor": serialize.divisor_to_obj(divisor),
-            }
-            detail = f"tropical {tropical_side} vs oracle {oracle_side}"
-            result.failures.append(VerifyFailure(check, detail, repro))
-    return result
+def _record(result: SuiteResult, check: str | None, detail: str | None, **inputs) -> None:
+    """Count one check in ``result``, and its failure unless ``detail`` is None.
+
+    The one place a check is counted and a :class:`VerifyFailure` built.  The
+    reproducer is ``inputs``, the failed check's input, each serialized under
+    its own name in the order given.
+    """
+    result.checks_run += 1
+    if detail is not None:
+        to_obj = {
+            "params": lambda p: [p.g, p.d, p.r],
+            "tableau": serialize.tableau_to_obj,
+            "geometry": serialize.geometry_to_obj,
+            "divisor": serialize.divisor_to_obj,
+            "seed": int,
+        }
+        repro = {name: to_obj[name](value) for name, value in inputs.items()}
+        result.failures.append(VerifyFailure(check, detail, repro))
 
 
 def _shard_count(triples: int) -> int:
@@ -471,38 +456,39 @@ def _small_geometry(g: int, rng: random.Random, generic: bool) -> ChainGeometry:
     return ChainGeometry(tuple(lengths))
 
 
-def _oracle_trials(
-    rng: random.Random,
-    g_max: int,
-    winnability_trials: int,
-    rank_trials: int,
-):
-    """Per oracle trial, ``(check, geometry, divisor, tropical answer, oracle answer)``."""
+def _oracle_checks(
+    rng: random.Random, g_max: int, winnability_trials: int, rank_trials: int
+) -> SuiteResult:
+    """The oracle trials: per check in turn, its trials on small random inputs."""
+    result = SuiteResult()
     g_cap = min(g_max, 4)
-    done = 0
-    while done < winnability_trials:
-        g = rng.randrange(1, g_cap + 1)
-        geom = _small_geometry(g, rng, generic=False)
-        divisor = random_rational_divisor(geom, rng)
-        if not -6 <= divisor.degree <= 6:
-            continue
-        done += 1
-        tropical_side = is_equivalent_to_effective(geom, divisor)
-        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
-        oracle_side = is_winnable(graph, chips_from_divisor(graph, divisor), 0)
-        yield "winnability agreement", geom, divisor, tropical_side, oracle_side
-    done = 0
-    while done < rank_trials:
-        g = rng.randrange(1, g_cap + 1)
-        geom = _small_geometry(g, rng, generic=True)
+    # per check: trials, generic geometry, divisor shape, admitted degree
+    for check, trials, generic, shape, admits in (
+        ("winnability agreement", winnability_trials, False, {}, lambda deg, g: -6 <= deg <= 6),
         # lean divisors keep the exhaustive rank sweep at desk scale
-        divisor = random_rational_divisor(
-            geom, rng, effective=True, max_points=2, coord_denominator=4
-        )
-        if divisor.degree > min(4, g + 2):
-            continue
-        done += 1
-        tropical_side = tropical_rank(geom, divisor)
-        graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
-        oracle_side = bn_rank(graph, chips_from_divisor(graph, divisor))
-        yield "rank agreement", geom, divisor, tropical_side, oracle_side
+        ("rank agreement", rank_trials, True,
+         {"effective": True, "max_points": 2, "coord_denominator": 4},
+         lambda deg, g: deg <= min(4, g + 2)),
+    ):
+        done = 0
+        while done < trials:
+            g = rng.randrange(1, g_cap + 1)
+            geom = _small_geometry(g, rng, generic)
+            divisor = random_rational_divisor(geom, rng, **shape)
+            if admits(divisor.degree, g):
+                done += 1
+                detail = _trial_failure(check, geom, divisor)
+                _record(result, check, detail, geometry=geom, divisor=divisor)
+    return result
+
+
+def _trial_failure(check: str, geom: ChainGeometry, divisor: TropicalDivisor) -> str | None:
+    """How the tropical and the oracle answer of an oracle trial differ, or None."""
+    winnability = check == "winnability agreement"
+    tropical_side = (is_equivalent_to_effective if winnability else tropical_rank)(geom, divisor)
+    graph = subdivide_chain(geom, [pt for pt, _ in divisor.points])
+    chips = chips_from_divisor(graph, divisor)
+    oracle_side = is_winnable(graph, chips, 0) if winnability else bn_rank(graph, chips)
+    if tropical_side != oracle_side:
+        return f"tropical {tropical_side} vs oracle {oracle_side}"
+    return None
