@@ -31,7 +31,16 @@ from .effective import (
     effective_vanishing_from_tableau,
     eh_to_effective,
 )
-from .elliptic import check_eh_series, eh_series_from_tableau
+from .elliptic import (
+    EHSeries,
+    SeriesFamily,
+    UniqueSeries,
+    check_eh_series,
+    check_vanishing_pair,
+    eh_series_from_tableau,
+    propagate_vanishing,
+    vanishing_from_tableau,
+)
 from .oracle import bn_rank, chips_from_divisor, is_winnable, subdivide_chain
 from .tableaux import BNParams, Tableau, count_components, enumerate_tableaux, validate_tableau
 from .tropical import (
@@ -380,6 +389,9 @@ def _tableau_failure(
     verdict = check_eh_series(series)
     if not (verdict.valid and verdict.refined):
         return "series validity", verdict.problem or "not refined", None
+    detail = _component_failure(t, series)
+    if detail is not None:
+        return "component series", detail, None
 
     effective = eh_to_effective(series)
     everdict = check_effective(effective)
@@ -418,6 +430,31 @@ def _tableau_failure(
         rank = _rank_from_split(*split, divisor.degree)
         if rank != params.r:
             return "rank certification", f"rank {rank} != {params.r}", geom
+    return None
+
+
+def _component_failure(t: Tableau, series: EHSeries) -> str | None:
+    """The first component whose class and orders do not come from the one before.
+
+    With u the closed-form vanishing at Q_{i-1}, a pinned class needs the
+    pair's equality index e and is the :class:`UniqueSeries` that
+    ``propagate_vanishing(d, u, r - e)`` gives (e indexes the P side, the
+    column the Q side); a free class needs no equality and is the
+    :class:`SeriesFamily` that ``propagate_vanishing(d, u)`` gives.
+    """
+    d, r = t.params.d, t.params.r
+    for i in range(1, t.params.g + 1):
+        bundle, vp, vq = series.component(i)
+        u = vanishing_from_tableau(t, i - 1)
+        e = check_vanishing_pair(d, vp, vq).equality_index
+        if bundle.is_special:
+            want = None if e is None else propagate_vanishing(d, u, r - e)
+            got = UniqueSeries(bundle.a, vp, vq)
+        else:
+            want = None if e is not None else propagate_vanishing(d, u)
+            got = SeriesFamily(vp, vq)
+        if want != got:
+            return f"component {i}: {got}, but Q_{i - 1} propagates {want}"
     return None
 
 

@@ -533,6 +533,35 @@ def test_suite_detects_wrong_rank(monkeypatch):
     assert (check, detail) == (failure.check, failure.detail)
 
 
+def _lower_pinned_classes(monkeypatch):
+    """Lower a by one in every pinned bundle class with a > 0."""
+    from bnchains import elliptic
+
+    original = elliptic.bundle_from_tableau
+
+    def lowered(t, i):
+        bundle = original(t, i)
+        if bundle.is_special and bundle.a > 0:
+            return elliptic.BundleClass.special(i, bundle.degree, bundle.a - 1)
+        return bundle
+
+    monkeypatch.setattr(elliptic, "bundle_from_tableau", lowered)
+
+
+def test_suite_detects_a_wrong_bundle_class(monkeypatch):
+    # only the component check reads a bundle class: without it the
+    # lowered classes passed all 253 checks
+    _lower_pinned_classes(monkeypatch)
+    result = vf.run_suite(5, 0)
+    assert result.checks_run == 253
+    assert len(result.failures) == 96
+    for failure in result.failures:
+        assert failure.check == "component series"
+        assert set(failure.reproducer) == {"tableau"}
+        t = serialize.tableau_from_obj(failure.reproducer["tableau"])
+        assert vf._tableau_failure(t, [], 0) == (failure.check, failure.detail, None)
+
+
 def test_one_split_per_tableau_divisor(monkeypatch):
     # the table and the rank of a tableau divisor come from one split; the
     # soundness residue, a different divisor, is split once more
