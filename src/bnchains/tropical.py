@@ -481,8 +481,9 @@ def _table_from_split(
                     u[t0] += 1
                     tags.append("d")
         if u[r] < 0 or any(a <= b for a, b in zip(u, u[1:])):
-            raise RankDeficiencyError(
-                f"rank deficiency at loop {i}: orders {tuple(u)} lose shape"
+            raise RankDeficiencyError(  # the ends only: r is up to the sweep cap
+                f"rank deficiency at loop {i}: orders from u_0 = {u[0]} to u_{r} = {u[r]} "
+                "lose shape"
             )
         rows.append(VanishingSequence._trusted(tuple(u)))
     return TropVanishingTable(

@@ -665,6 +665,20 @@ def test_tropical_cap_counts_loop_steps(capsys, tmp_path, command, loops, width)
     assert "cap" in err and "Traceback" not in err
 
 
+def test_rank_deficiency_message_is_short_at_the_cap(capsys, geometry_file, tmp_path):
+    # a table within the cap that loses shape names the ends of its orders;
+    # the whole orders tuple made a one-line message of 1,031,786 characters
+    div_path = tmp_path / "div.json"
+    div_path.write_text(json.dumps({"points": [{"node": 0, "mult": 142856}]}))
+    code, out, err = run(
+        capsys, "tropical", "table", "--divisor", str(div_path),
+        "--geometry", geometry_file, "--r", "142856",
+    )
+    assert (code, out) == (1, "")
+    assert "rank deficiency" in err and "Traceback" not in err
+    assert len(err.encode()) < 300
+
+
 _GEOMETRY_1 = {"g": 1, "loops": [{"l": "2/1", "m": "1/1"}]}
 _DIVISOR_1 = {"points": [{"node": 0, "mult": 1}]}
 
