@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -560,6 +561,72 @@ def test_suite_detects_a_wrong_bundle_class(monkeypatch):
         assert set(failure.reproducer) == {"tableau"}
         t = serialize.tableau_from_obj(failure.reproducer["tableau"])
         assert vf._tableau_failure(t, [], 0) == (failure.check, failure.detail, None)
+
+
+def _drop_a_tableau(monkeypatch):
+    """Enumerate one tableau too few for the last triple of genus 4."""
+    broken = vf.sweep_params(4)[-1]
+    original = vf.enumerate_tableaux
+    monkeypatch.setattr(
+        vf, "enumerate_tableaux", lambda p: list(original(p))[: -1 if p == broken else None]
+    )
+
+
+def _replay(failure) -> tuple:
+    """``(check, detail)`` of the failed check re-run on its parsed reproducer."""
+    repro = failure.reproducer
+    if "params" in repro:
+        (replayed,) = vf._sweep([(BNParams(*repro["params"]), [])], 0).failures
+        return replayed.check, replayed.detail
+    if "tableau" in repro:
+        t = serialize.tableau_from_obj(repro["tableau"])
+        if "geometry" not in repro:
+            return vf._tableau_failure(t, [], 0)[:2]
+        geom = serialize.geometry_from_obj(repro["geometry"])
+        return vf._tableau_failure(t, [geom], repro["seed"])[:2]
+    geom = serialize.geometry_from_obj(repro["geometry"])
+    divisor = serialize.divisor_from_obj(repro["divisor"], geom)
+    return failure.check, vf._trial_failure(failure.check, geom, divisor)
+
+
+@pytest.mark.parametrize(
+    "inject, check, inputs",
+    [
+        (_drop_a_tableau, "component count", {"params"}),
+        (_lower_pinned_classes, "component series", {"tableau"}),
+        (_tamper_closed_form, "table agreement", {"tableau", "geometry", "seed"}),
+        (_flip_winnability, "winnability agreement", {"geometry", "divisor"}),
+        (_raise_tropical_rank, "rank agreement", {"geometry", "divisor"}),
+    ],
+    ids=["count", "tableau", "tableau-on-geometry", "winnability", "rank"],
+)
+def test_every_reproducer_replays_its_check(monkeypatch, inject, check, inputs):
+    # a reproducer is exactly the failed check's input: one call on it,
+    # parsed, gives the same check and detail
+    inject(monkeypatch)
+    result = vf.run_suite(4, 1, 2, 8, 4)
+    assert result.failures
+    for failure in result.failures:
+        assert (failure.check, set(failure.reproducer)) == (check, inputs)
+        assert _replay(failure) == (failure.check, failure.detail)
+
+
+def test_verify_failure_is_built_only_by_the_recorder():
+    # _record is the one path from a check to a failure; _collect only
+    # decodes the failures a child recorded and sent back as JSON
+    from pathlib import Path
+
+    from test_tableaux import _mentions
+
+    import bnchains
+
+    found = set()
+    for path in sorted(Path(bnchains.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for kind, scope in _mentions(tree, "VerifyFailure"):
+            if kind in ("call", "attribute", "renamed import"):
+                found.add((path.stem, kind, ".".join(scope)))
+    assert found == {("verify", "call", "_record"), ("verify", "call", "_collect")}
 
 
 def test_one_split_per_tableau_divisor(monkeypatch):
