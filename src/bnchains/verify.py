@@ -8,11 +8,19 @@ generic geometries.  A budgeted slice of randomized divisors is additionally
 cross-checked against the chip-firing oracle.  The calling process draws
 every geometry; shards of triples, forked but for the first, enumerate and
 check their own, and a shard whose child gives no answer is swept again by
-the calling process (see :func:`run_suite`).  Every failure carries a JSON
-reproducer that is exactly the failed check's input: the tableau, plus the
-geometry and seed for a check on a geometry, which
-``_tableau_failure(tableau, [geometry], seed)`` replays; the parameter
-triple of a component count; the geometry and divisor of an oracle trial.
+the calling process (see :func:`run_suite`).  Every check is counted, and
+every failure built, by ``_record``.  A failure carries a JSON reproducer
+that is exactly the failed check's input, and one call on it, parsed,
+replays the check:
+
+* a component count, ``{"params": [g, d, r]}``:
+  ``_sweep([(BNParams(g, d, r), [])], 0)``;
+* a tableau check that uses no geometry, ``{"tableau"}``:
+  ``_tableau_failure(tableau, [], 0)``;
+* a tableau check on a geometry, ``{"tableau", "geometry", "seed"}``:
+  ``_tableau_failure(tableau, [geometry], seed)``;
+* an oracle trial, ``{"geometry", "divisor"}``:
+  ``_trial_failure(check, geometry, divisor)``.
 """
 
 from __future__ import annotations
