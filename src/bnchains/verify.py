@@ -9,7 +9,8 @@ cross-checked against the chip-firing oracle.  The calling process draws
 every geometry; shards of triples, forked but for the first, enumerate and
 check their own, and a shard whose child gives no answer is swept again by
 the calling process (see :func:`run_suite`).  Every check is counted, and
-every failure built, by ``_record``.  A failure carries a JSON reproducer
+every failure built, by ``_record``; ``_collect`` only decodes the ones a
+child sends back.  A failure carries a JSON reproducer
 that is exactly the failed check's input, and one call on it, parsed,
 replays the check:
 
