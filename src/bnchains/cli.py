@@ -167,6 +167,8 @@ def cmd_tableaux(args) -> int:
     # a listed record costs O(g), and its free subset holds up to g - 1 ints
     if params.g > SERIES_CAP:
         raise InputTooLargeError(f"genus {params.g} is above the cap of {SERIES_CAP}")
+    if params.kbar < 0:
+        print("note: kbar < 0, the expected locus is the whole Jacobian", file=sys.stderr)
     if args.list:
         stream = enumerate_tableaux(params)
         if args.format == "json":
@@ -178,7 +180,7 @@ def cmd_tableaux(args) -> int:
                 print()
                 shown = True
             if not shown:
-                print("(empty locus)")
+                print("(no tableaux)" if params.kbar < 0 else "(empty locus)")
         return 0
     count = count_components(params)
     try:
@@ -189,11 +191,6 @@ def cmd_tableaux(args) -> int:
             digits += 1
         raise InputTooLargeError(f"the count has {digits} digits, too many to print") from None
     print(text)
-    if params.kbar < 0:
-        print(
-            "note: kbar < 0, the expected locus is the whole Jacobian",
-            file=sys.stderr,
-        )
     return 0
 
 

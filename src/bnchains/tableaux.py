@@ -275,10 +275,11 @@ def enumerate_tableaux(params: BNParams) -> Iterator[Tableau]:
     """Yield every tableau for ``params`` in a fixed, reproducible order.
 
     Order: lexicographic in the free-index subset, then lexicographic in the
-    row-reading word.  Count equals :func:`count_components`; an empty stream
-    signals an empty locus (``rho < 0`` or ``kbar < 0``).  The stream is lazy:
-    the fillings are generated afresh for each free subset, so memory stays
-    bounded by the rectangle however many tableaux there are.
+    row-reading word.  Count equals :func:`count_components`; the stream is
+    empty for an empty locus (``rho < 0``) and for ``kbar < 0``, where the
+    expected locus is the whole Jacobian and no rectangle indexes it.  The
+    stream is lazy: the fillings are generated afresh for each free subset,
+    so memory stays bounded by the rectangle however many tableaux there are.
 
     The tableaux are valid by construction (shape, distinct entries in
     range, increasing rows and columns), so they are built without the

@@ -1,18 +1,19 @@
 """Built-in agreement suite: every model checked against every other.
 
 The suite sweeps all parameter triples up to a genus bound and, for each
-tableau, checks the combinatorial counts, the node identities of the
-concentrated series, the effective round trip, and the agreement of the three
-vanishing tables (closed form, effective, dynamic tropical) on randomized
-generic geometries.  A budgeted slice of randomized divisors is additionally
-cross-checked against the chip-firing oracle.  The calling process draws
-every geometry; shards of triples, forked but for the first, enumerate and
-check their own, and a shard whose child gives no answer is swept again by
-the calling process (see :func:`run_suite`).  Every check is counted, and
-every failure built, by ``_record``; ``_collect`` only decodes the ones a
-child sends back.  A failure carries a JSON reproducer
-that is exactly the failed check's input, and one call on it, parsed,
-replays the check:
+tableau, checks the combinatorial counts, that the concentrated and the
+effective series build and convert (the conversions validate their input, so
+a refusal is the failure), that each component comes from the one before,
+the effective round trip, and the agreement of the three vanishing tables
+(closed form, effective, dynamic tropical) on randomized generic geometries.
+A budgeted slice of randomized divisors is additionally cross-checked
+against the chip-firing oracle.  The calling process draws every geometry;
+shards of triples, forked but for the first, enumerate and check their own,
+and a shard whose child gives no answer is swept again by the calling
+process (see :func:`run_suite`).  Every check is counted, and every failure
+built, by ``_record``; ``_collect`` only decodes the ones a child sends
+back.  A failure carries a JSON reproducer that is exactly the failed
+check's input, and one call on it, parsed, replays the check:
 
 * a component count, ``{"params": [g, d, r]}``:
   ``_sweep([(BNParams(g, d, r), [])], 0)``;
@@ -34,17 +35,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
-from .effective import (
-    check_effective,
-    effective_to_eh,
-    effective_vanishing_from_tableau,
-    eh_to_effective,
-)
+from .effective import effective_to_eh, effective_vanishing_from_tableau, eh_to_effective
 from .elliptic import (
     EHSeries,
     SeriesFamily,
     UniqueSeries,
-    check_eh_series,
     check_vanishing_pair,
     eh_series_from_tableau,
     propagate_vanishing,
@@ -385,28 +380,32 @@ def _tableau_failure(
     """The first failing check of a tableau as ``(check, detail, geometry)``, else None.
 
     ``geometry`` is the one the check failed on, or None for the checks that
-    use no geometry.  Each tableau divisor is split into its node and loop
-    data (``tropical._split``) once, and both the dynamic vanishing table and
-    the rank are read off that split; the soundness residue, a different
-    divisor, is reduced on its own.  So every geometry costs two splits.
+    use no geometry.  Series and effective validity are the conversions' own
+    checks, run once: a ``ValueError`` from building the series or from
+    :func:`eh_to_effective` fails the first, one from :func:`effective_to_eh`
+    the second, with its message.  Each tableau divisor is split into its
+    node and loop data (``tropical._split``) once, and both the dynamic
+    vanishing table and the rank are read off that split; the soundness
+    residue, a different divisor, is reduced on its own.  So every geometry
+    costs two splits.
     """
     params = t.params
     if not validate_tableau(t).ok:
         return "tableau validity", f"{t}", None
 
-    series = eh_series_from_tableau(t)
-    verdict = check_eh_series(series)
-    if not (verdict.valid and verdict.refined):
-        return "series validity", verdict.problem or "not refined", None
+    try:
+        series = eh_series_from_tableau(t)
+        effective = eh_to_effective(series)
+    except ValueError as exc:
+        return "series validity", str(exc), None
     detail = _component_failure(t, series)
     if detail is not None:
         return "component series", detail, None
-
-    effective = eh_to_effective(series)
-    everdict = check_effective(effective)
-    if not (everdict.valid and everdict.refined):
-        return "effective validity", everdict.problem or "not refined", None
-    if effective_to_eh(effective) != series:
+    try:
+        back = effective_to_eh(effective)
+    except ValueError as exc:
+        return "effective validity", str(exc), None
+    if back != series:
         return "round trip", "effective_to_eh changed the series", None
     closed = [effective_vanishing_from_tableau(t, i) for i in range(params.g + 1)]
     for i, orders in enumerate(closed):
@@ -445,23 +444,20 @@ def _tableau_failure(
 def _component_failure(t: Tableau, series: EHSeries) -> str | None:
     """The first component whose class and orders do not come from the one before.
 
-    With u the closed-form vanishing at Q_{i-1}, a pinned class needs the
-    pair's equality index e and is the :class:`UniqueSeries` that
-    ``propagate_vanishing(d, u, r - e)`` gives (e indexes the P side, the
-    column the Q side); a free class needs no equality and is the
-    :class:`SeriesFamily` that ``propagate_vanishing(d, u)`` gives.
+    With u the closed-form vanishing at Q_{i-1} and e the pair's equality
+    index, the component must be what ``propagate_vanishing(d, u, r - e)``
+    gives (e indexes the P side, the column the Q side), or without an
+    equality ``propagate_vanishing(d, u)``: a pinned class as its
+    :class:`UniqueSeries`, a free one as its :class:`SeriesFamily`.  A class
+    of the other kind than the equality asks for never matches.
     """
     d, r = t.params.d, t.params.r
     for i in range(1, t.params.g + 1):
         bundle, vp, vq = series.component(i)
         u = vanishing_from_tableau(t, i - 1)
         e = check_vanishing_pair(d, vp, vq).equality_index
-        if bundle.is_special:
-            want = None if e is None else propagate_vanishing(d, u, r - e)
-            got = UniqueSeries(bundle.a, vp, vq)
-        else:
-            want = None if e is not None else propagate_vanishing(d, u)
-            got = SeriesFamily(vp, vq)
+        want = propagate_vanishing(d, u, None if e is None else r - e)
+        got = SeriesFamily(vp, vq) if bundle.a is None else UniqueSeries(bundle.a, vp, vq)
         if want != got:
             return f"component {i}: {got}, but Q_{i - 1} propagates {want}"
     return None

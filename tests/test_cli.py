@@ -83,6 +83,21 @@ def test_tableaux_list_json_matches_one_dump(capsys, g, d, r):
     assert out == json.dumps(objs, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "g,d,r,text,note",
+    [(5, 3, 1, "(empty locus)", False), (1, 5, 0, "(no tableaux)", True)],
+    ids=["rho<0", "kbar<0"],
+)
+def test_tableaux_without_tableaux(capsys, g, d, r, text, note):
+    # rho < 0 is an empty locus; at kbar < 0 the expected locus is the whole
+    # Jacobian, which no tableau indexes, and every form says so on stderr
+    triple = ["tableaux", "--g", str(g), "--d", str(d), "--r", str(r)]
+    said = "note: kbar < 0, the expected locus is the whole Jacobian\n" if note else ""
+    assert run(capsys, *triple, "--list") == (0, text + "\n", said)
+    assert run(capsys, *triple, "--list", "--format", "json") == (0, "[]\n", said)
+    assert run(capsys, *triple, "--count") == (0, "0\n", said)
+
+
 def test_tableaux_list_json_bytes_fixed(capsys):
     # the 24,024 records of (16, 15, 3); digest taken when each batch of
     # records was still a json.dumps(..., indent=2) of tableau_to_obj dicts

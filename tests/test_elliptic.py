@@ -179,6 +179,7 @@ def test_propagate_vanishing_conditions(data):
     d = orders[0] + 2
     fam = propagate_vanishing(d, u)
     assert (fam is not None) == (orders[-1] > 0)
+    results = [fam]
     for t0 in range(r + 1):
         res = propagate_vanishing(d, u, t0=t0)
         expected = (t0 == 0 or u[t0] + 1 < u[t0 - 1]) and (t0 == r or u[r] > 0)
@@ -186,6 +187,11 @@ def test_propagate_vanishing_conditions(data):
         if res is not None:
             assert res.a == d - u[t0]
             assert res.vanish_q[t0] == u[t0]
+        results.append(res)
+    # the outputs are built trusted: each passes the constructor's checks
+    for res in filter(None, results):
+        for x in (res.vanish_p, res.vanish_q):
+            assert x == VanishingSequence(x.orders)
 
 
 def test_vanishing_from_tableau_worked_example():

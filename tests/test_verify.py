@@ -563,6 +563,80 @@ def test_suite_detects_a_wrong_bundle_class(monkeypatch):
         assert vf._tableau_failure(t, [], 0) == (failure.check, failure.detail, None)
 
 
+def _free_placed_classes(monkeypatch):
+    """Give every component the free class, placed indices included."""
+    from bnchains import elliptic
+
+    monkeypatch.setattr(
+        elliptic, "bundle_from_tableau", lambda t, i: elliptic.BundleClass.generic(i, t.params.d)
+    )
+
+
+def _pin_free_classes(monkeypatch):
+    """Pin the class of every free index at a = 0."""
+    from bnchains import elliptic
+
+    original = elliptic.bundle_from_tableau
+
+    def pinned(t, i):
+        if t.is_placed(i):
+            return original(t, i)
+        return elliptic.BundleClass.special(i, t.params.d, 0)
+
+    monkeypatch.setattr(elliptic, "bundle_from_tableau", pinned)
+
+
+@pytest.mark.parametrize(
+    "inject, wrong",
+    [
+        (_free_placed_classes, lambda t: t.placed_indices),
+        (_pin_free_classes, lambda t: t.params.rho),
+    ],
+    ids=["free-where-placed", "pinned-where-free"],
+)
+def test_suite_detects_a_class_of_the_wrong_kind(monkeypatch, inject, wrong):
+    # a class the equality index does not ask for: a free one where the pair
+    # has an equality, a pinned one where it has none
+    inject(monkeypatch)
+    result = vf.run_suite(5, 0)
+    assert result.checks_run == 253
+    expected = [t for p in vf.sweep_params(5) for t in enumerate_tableaux(p) if wrong(t)]
+    assert len(result.failures) == len(expected) > 0
+    for failure, t in zip(result.failures, expected):
+        assert failure.check == "component series"
+        assert failure.reproducer == {"tableau": serialize.tableau_to_obj(t)}
+        assert _replay(failure) == (failure.check, failure.detail)
+
+
+def _raise_closed_form_orders(monkeypatch):
+    """Add one to every order of the closed form that series assembly reads."""
+    from bnchains import elliptic
+
+    original = elliptic.vanishing_from_tableau
+    monkeypatch.setattr(
+        elliptic,
+        "vanishing_from_tableau",
+        lambda t, i: elliptic.VanishingSequence(tuple(v + 1 for v in original(t, i))),
+    )
+
+
+def test_verify_reports_a_series_the_library_refuses(capsys, monkeypatch):
+    # the raised orders make the P-side at Q_0 end in -1, so building the
+    # series refuses: a failed check with its reproducer, not an error exit
+    from bnchains.cli import main
+
+    _raise_closed_form_orders(monkeypatch)
+    outs = []
+    for shards in (1, 2):
+        _force_shards(monkeypatch, shards)
+        assert main(["verify", "--g-max", "3"]) == 3
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    fails = [line for line in outs[0].splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 25
+    assert all(line.startswith("FAIL [series validity] orders must be") for line in fails)
+
+
 def _drop_a_tableau(monkeypatch):
     """Enumerate one tableau too few for the last triple of genus 4."""
     broken = vf.sweep_params(4)[-1]
@@ -597,8 +671,9 @@ def _replay(failure) -> tuple:
         (_tamper_closed_form, "table agreement", {"tableau", "geometry", "seed"}),
         (_flip_winnability, "winnability agreement", {"geometry", "divisor"}),
         (_raise_tropical_rank, "rank agreement", {"geometry", "divisor"}),
+        (_raise_closed_form_orders, "series validity", {"tableau"}),
     ],
-    ids=["count", "tableau", "tableau-on-geometry", "winnability", "rank"],
+    ids=["count", "tableau", "tableau-on-geometry", "winnability", "rank", "refused-series"],
 )
 def test_every_reproducer_replays_its_check(monkeypatch, inject, check, inputs):
     # a reproducer is exactly the failed check's input: one call on it,
