@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .elliptic import (
     BundleClass,
     EHSeries,
     SeriesCheck,
     VanishingSequence,
+    _check_shape,
     check_eh_series,
 )
 from .tableaux import BNParams, Tableau, _unchecked
@@ -56,22 +58,9 @@ class EffectiveSeries:
 
     def __post_init__(self):
         p = self.params
-        if not (
-            len(self.degrees) == len(self.bundles) == len(self.w_p) == len(self.w_q) == p.g
-        ):
-            raise ValueError(f"series needs {p.g} components")
         if len(self.node_degrees) != p.g - 1:
             raise ValueError(f"series needs {p.g - 1} node degrees")
-        for i, (d_i, bundle) in enumerate(zip(self.degrees, self.bundles), start=1):
-            if bundle.degree != d_i:
-                raise ValueError(
-                    f"component {i}: bundle degree {bundle.degree} != d_{i} = {d_i}"
-                )
-            if bundle.component != i:
-                raise ValueError(f"component {i}: bundle labeled {bundle.component}")
-        for seq in (*self.w_p, *self.w_q):
-            if len(seq.orders) != p.k:
-                raise ValueError(f"vanishing sequences must have length {p.k}")
+        _check_shape(p, self.degrees, self.bundles, self.w_p, self.w_q)
 
 
 def check_effective(series: EffectiveSeries) -> SeriesCheck:
@@ -116,6 +105,26 @@ def check_effective(series: EffectiveSeries) -> SeriesCheck:
     return SeriesCheck(True, refined)
 
 
+def _twist(bundles, vanish_p, vanish_q, lefts, rights):
+    """The twist of both conversions: component i by lefts[i-1] P_i + rights[i-1] Q_i.
+
+    A pinned O(aP + bQ) becomes O((a + left)P + (b + right)Q), a free class
+    keeps its tag, and the orders at P_i and Q_i shift by left and right.
+    """
+    twisted = []
+    for i, (bundle, left, right) in enumerate(zip(bundles, lefts, rights), start=1):
+        degree = bundle.degree + left + right
+        if bundle.a is None:
+            twisted.append(BundleClass.generic(i, degree, tag=bundle.tag))
+        else:
+            twisted.append(BundleClass.special(i, degree, bundle.a + left))
+    return (
+        tuple(twisted),
+        tuple([seq.shifted(left) if left else seq for seq, left in zip(vanish_p, lefts)]),
+        tuple([seq.shifted(right) if right else seq for seq, right in zip(vanish_q, rights)]),
+    )
+
+
 def eh_to_effective(series: EHSeries) -> EffectiveSeries:
     """Strip the minimal node vanishing off a refined concentrated series.
 
@@ -130,28 +139,15 @@ def eh_to_effective(series: EHSeries) -> EffectiveSeries:
     if not verdict.valid or not verdict.refined:
         raise NotRefinedError(f"series is not refined: {verdict.problem or 'a node sum exceeds d'}")
     d, r = p.d, p.r
-    # u_r on each side of every node: the Q-side of its left component and
-    # the P-side of its right one; the ends of the chain have none
-    q_low = [seq.orders[r] for seq in series.vanish_q[:-1]]
-    p_low = [seq.orders[r] for seq in series.vanish_p[1:]]
-    degrees = []
-    bundles = []
-    w_p = []
-    w_q = []
-    sides = zip(series.bundles, series.vanish_p, series.vanish_q, [0, *p_low], [*q_low, 0])
-    for i, (bundle, up, uq, left, right) in enumerate(sides, start=1):
-        d_i = d - left - right
-        degrees.append(d_i)
-        w_p.append(up.shifted(-left) if left else up)
-        w_q.append(uq.shifted(-right) if right else uq)
-        if bundle.a is not None:
-            bundles.append(BundleClass.special(i, d_i, bundle.a - left))
-        else:
-            bundles.append(BundleClass.generic(i, d_i, tag=bundle.tag))
-    node_degrees = tuple([d - low_q - low_p for low_q, low_p in zip(q_low, p_low)])
+    # -u_r on each side of every node: the P-side of its right component and
+    # the Q-side of its left one; the ends of the chain have none
+    lefts = [0, *[-seq.orders[r] for seq in series.vanish_p[1:]]]
+    rights = [*[-seq.orders[r] for seq in series.vanish_q[:-1]], 0]
+    bundles, w_p, w_q = _twist(series.bundles, series.vanish_p, series.vanish_q, lefts, rights)
     return _unchecked(
-        EffectiveSeries, params=p, degrees=tuple(degrees), bundles=tuple(bundles),
-        w_p=tuple(w_p), w_q=tuple(w_q), node_degrees=node_degrees,
+        EffectiveSeries, params=p, degrees=tuple([b.degree for b in bundles]),
+        bundles=bundles, w_p=w_p, w_q=w_q,
+        node_degrees=tuple([d + right + left for right, left in zip(rights, lefts[1:])]),
     )
 
 
@@ -172,41 +168,25 @@ def effective_to_eh(series: EffectiveSeries) -> EHSeries:
     Component j regains the side-sums as base points at its nodes: the bundle
     becomes L_{j,j}(d'_left P_j + d'_right Q_j) and the vanishing shifts up by
     the matching side-sum.  Inverse of :func:`eh_to_effective` on refined
-    series.  Rejects non-refined input and negative side-sums.  The output has
-    the checked shapes, degrees and labels by construction and is built
-    unchecked.
+    series.  Rejects non-refined input; by condition (b) no side-sum of a
+    valid series is negative.  The output has the checked shapes, degrees and
+    labels by construction and is built unchecked.
     """
     p = series.params
     verdict = check_effective(series)
     if not verdict.valid or not verdict.refined:
         raise NotRefinedError(verdict.problem or "series is not refined")
-    g, d = p.g, p.d
     degrees, node_degrees = series.degrees, series.node_degrees
-    bundles = []
-    vanish_p = []
-    vanish_q = []
-    # side_sums(series, j), kept as running sums
-    d_left, d_right = 0, sum(degrees[1:]) - sum(node_degrees)
-    sides = zip(series.bundles, series.w_p, series.w_q)
-    for j, (bundle, wp, wq) in enumerate(sides, start=1):
-        if d_left < 0 or d_right < 0:
-            raise ValueError(
-                f"component {j}: negative leftover degree ({d_left}, {d_right})"
-            )
-        if bundle.a is not None:
-            bundles.append(BundleClass.special(j, d, bundle.a + d_left))
-        else:
-            bundles.append(BundleClass.generic(j, d, tag=bundle.tag))
-        vanish_p.append(wp.shifted(d_left))
-        vanish_q.append(wq.shifted(d_right))
-        if j < g:
-            # C_j and then the node Q_j move to the left side, C_{j+1} off the right
-            a = node_degrees[j - 1]
-            d_left += degrees[j - 1] - a
-            d_right -= degrees[j] - a
+    # side_sums(series, j) for every j, as running sums of d_m - a_m (left)
+    # and d_{m+1} - a_m (right); condition (b), r <= a_m <= min(d_m, d_{m+1}),
+    # makes every term, and so every side-sum, >= 0
+    lefts = list(accumulate(map(operator.sub, degrees, node_degrees), initial=0))
+    rights = list(accumulate(map(operator.sub, degrees[:0:-1], node_degrees[::-1]), initial=0))
+    bundles, vanish_p, vanish_q = _twist(
+        series.bundles, series.w_p, series.w_q, lefts, rights[::-1]
+    )
     return _unchecked(
-        EHSeries, params=p, bundles=tuple(bundles),
-        vanish_p=tuple(vanish_p), vanish_q=tuple(vanish_q),
+        EHSeries, params=p, bundles=bundles, vanish_p=vanish_p, vanish_q=vanish_q
     )
 
 

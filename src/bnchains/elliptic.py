@@ -269,15 +269,30 @@ def bundle_from_tableau(t: Tableau, i: int) -> BundleClass:
     return BundleClass.special(i, p.d, a)
 
 
+def _check_shape(p: BNParams, degrees, bundles, vanish_p, vanish_q) -> None:
+    """Raise ``ValueError`` unless there are g components, bundle i labeled i
+    and of degree ``degrees[i-1]``, and k orders at each P_i and Q_i."""
+    if not (len(degrees) == len(bundles) == len(vanish_p) == len(vanish_q) == p.g):
+        raise ValueError(f"series needs {p.g} components")
+    for i, (d_i, bundle) in enumerate(zip(degrees, bundles), start=1):
+        if bundle.degree != d_i:
+            raise ValueError(f"component {i}: bundle degree {bundle.degree} != {d_i}")
+        if bundle.component != i:
+            raise ValueError(f"component {i}: bundle labeled {bundle.component}")
+    for seq in (*vanish_p, *vanish_q):
+        if len(seq.orders) != p.k:
+            raise ValueError(f"vanishing sequences must have length {p.k}")
+
+
 @dataclass(frozen=True)
 class EHSeries:
     """Limit linear series data: per-component bundle plus node vanishing.
 
     ``vanish_p[i-1]`` / ``vanish_q[i-1]`` are the orders at P_i / Q_i, both
     stored strictly decreasing.  Construction checks shapes and degrees only;
-    node compatibility is the job of :func:`check_eh_series`.  The library's
-    own builders, whose shapes, degrees and labels hold by construction, build
-    through :func:`~bnchains.tableaux._unchecked` instead.
+    the node and component conditions are the job of :func:`check_eh_series`.
+    The library's own builders, whose shapes, degrees and labels hold by
+    construction, build through :func:`~bnchains.tableaux._unchecked` instead.
     """
 
     params: BNParams
@@ -286,17 +301,8 @@ class EHSeries:
     vanish_q: tuple[VanishingSequence, ...]
 
     def __post_init__(self):
-        p = self.params
-        if not (len(self.bundles) == len(self.vanish_p) == len(self.vanish_q) == p.g):
-            raise ValueError(f"series needs {p.g} components")
-        for i, bundle in enumerate(self.bundles, start=1):
-            if bundle.degree != p.d:
-                raise ValueError(f"component {i}: bundle degree {bundle.degree} != {p.d}")
-            if bundle.component != i:
-                raise ValueError(f"component {i}: bundle labeled {bundle.component}")
-        for seq in (*self.vanish_p, *self.vanish_q):
-            if len(seq.orders) != p.k:
-                raise ValueError(f"vanishing sequences must have length {p.k}")
+        p = self.params  # a degree d for each bundle given, as g itself may be huge
+        _check_shape(p, (p.d,) * len(self.bundles), self.bundles, self.vanish_p, self.vanish_q)
 
     def component(self, i: int) -> tuple[BundleClass, VanishingSequence, VanishingSequence]:
         return self.bundles[i - 1], self.vanish_p[i - 1], self.vanish_q[i - 1]
@@ -315,8 +321,9 @@ class SeriesCheck:
 def check_eh_series(series: EHSeries) -> SeriesCheck:
     """Node condition: vanish_q(i)[t] + vanish_p(i+1)[r-t] >= d at every node.
 
-    Refined when equality holds for every node and every t.  Reports the first
-    failing (node, t).
+    Refined when equality holds for every node and every t.  Then each
+    component's orders must pass :func:`check_vanishing_pair`.  Reports the
+    first failing (node, t), or else the first failing component.
     """
     p = series.params
     d, r = p.d, p.r
@@ -333,6 +340,12 @@ def check_eh_series(series: EHSeries) -> SeriesCheck:
                 )
             if total > d:
                 refined = False
+    for i, (vp, vq) in enumerate(zip(series.vanish_p, series.vanish_q), start=1):
+        # vp[t] + vq[r - t]: all <= d, at most one == d
+        totals = list(map(operator.add, vp.orders, reversed(vq.orders)))
+        if max(totals) > d or totals.count(d) > 1:
+            problem = check_vanishing_pair(d, vp, vq).problem
+            return SeriesCheck(False, False, f"component {i}: {problem}")
     return SeriesCheck(True, refined)
 
 

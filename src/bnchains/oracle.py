@@ -211,20 +211,26 @@ class ChipConfig:
         return f"ChipConfig({{{inside}}})"
 
 
-def _chip_list(graph: DiscreteGraph, config: ChipConfig) -> list[int]:
+def _chip_list(graph: DiscreteGraph, config: ChipConfig, q: int) -> list[int]:
     """The chip count of every vertex, as a list indexed by vertex.
 
-    Raises :class:`OracleTooLargeError` when the counts, summed without
-    sign, exceed :data:`ORACLE_CHIP_CAP`.
+    Raises ``ValueError`` for a root ``q`` or a chip outside ``0..n-1``, and
+    :class:`OracleTooLargeError` when the counts, summed without sign,
+    exceed :data:`ORACLE_CHIP_CAP`.
     """
+    n = graph.vertex_count
+    if not 0 <= q < n:
+        raise ValueError(f"root {q} outside the graph's vertices 0..{n - 1}")
     held = sum(abs(c) for _, c in config.items())
     if held > ORACLE_CHIP_CAP:
         shown = held if held < 10**100 else "too many"  # str() stops at 4,300 digits
         raise OracleTooLargeError(
             f"the divisor holds {shown} chips, more than the cap of {ORACLE_CHIP_CAP}"
         )
-    chips = [0] * graph.vertex_count
+    chips = [0] * n
     for v, c in config.items():
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside the graph's vertices 0..{n - 1}")
         chips[v] = c
     return chips
 
@@ -394,9 +400,10 @@ def dhar_reduce(graph: DiscreteGraph, config: ChipConfig, q: int) -> ChipConfig:
     burning and firing (:func:`_fire_unburnt`) until everything burns; every
     step is a sequence of legal firings, so the answer is the unique q-reduced
     form.  More than :data:`ORACLE_CHIP_CAP` chips raise
-    :class:`OracleTooLargeError`.
+    :class:`OracleTooLargeError`; a root or a chip outside the graph raises
+    ``ValueError``.
     """
-    chips = _chip_list(graph, config)
+    chips = _chip_list(graph, config, q)
     _reaches(graph.adjacency, chips, q, config.degree + 1)
     return ChipConfig({v: c for v, c in enumerate(chips) if c})
 
@@ -406,9 +413,10 @@ def is_winnable(graph: DiscreteGraph, config: ChipConfig, q: int) -> bool:
 
     The reduction toward q stops at the first equivalent effective divisor:
     once debt is settled, as soon as q is out of debt.  More than
-    :data:`ORACLE_CHIP_CAP` chips raise :class:`OracleTooLargeError`.
+    :data:`ORACLE_CHIP_CAP` chips raise :class:`OracleTooLargeError`; a root
+    or a chip outside the graph raises ``ValueError``.
     """
-    return _reaches(graph.adjacency, _chip_list(graph, config), q, 0)
+    return _reaches(graph.adjacency, _chip_list(graph, config, q), q, 0)
 
 
 def _certify(ahead, ends, removed, work) -> None:
@@ -449,7 +457,7 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
     preorder of :func:`subdivide_chain` keeps consecutive roots adjacent.
     Runs are deterministic.  Degrees above :data:`ORACLE_DEGREE_CAP` raise
     :class:`OracleTooLargeError`, as do more than :data:`ORACLE_CHIP_CAP`
-    chips.
+    chips; a chip outside the graph raises ``ValueError``.
     """
     degree = config.degree
     if degree > ORACLE_DEGREE_CAP:
@@ -460,7 +468,7 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
     adjacency = graph.adjacency
     n = graph.vertex_count
     q = 0
-    effective = _chip_list(graph, config)
+    effective = _chip_list(graph, config, q)
     if not _reaches(adjacency, effective, q, 0):
         return -1
 

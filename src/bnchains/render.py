@@ -49,14 +49,14 @@ def bundle_label(bundle: BundleClass) -> str:
     return "O(" + "+".join(terms) + ")"
 
 
-def _series_table(params, bundles, left_seqs, right_seqs, left_pt, right_pt) -> str:
+def _series_table(bundles, left_seqs, right_seqs) -> str:
     # column by column: each cell is built once, then padded to its column's width
-    g = params.g
-    comps = [f"C_{i}" for i in range(1, g + 1)]
+    indices = range(1, len(bundles) + 1)
+    comps = [f"C_{i}" for i in indices]
     labels = list(map(bundle_label, bundles))
-    lefts = [f"{left_pt}_{i}" for i in range(1, g + 1)]
+    lefts = [f"P_{i}" for i in indices]
     ascs = [" ".join(map(str, reversed(seq.orders))) for seq in left_seqs]
-    rights = [f"{right_pt}_{i}" for i in range(1, g + 1)]
+    rights = [f"Q_{i}" for i in indices]
     descs = [" ".join(map(str, seq.orders)) for seq in right_seqs]
     w0, w1, w2, w3, w4, w5 = (
         max(map(len, column)) for column in (comps, labels, lefts, ascs, rights, descs)
@@ -70,15 +70,11 @@ def _series_table(params, bundles, left_seqs, right_seqs, left_pt, right_pt) -> 
 
 
 def render_eh_series(series: EHSeries) -> str:
-    return _series_table(
-        series.params, series.bundles, series.vanish_p, series.vanish_q, "P", "Q"
-    )
+    return _series_table(series.bundles, series.vanish_p, series.vanish_q)
 
 
 def render_effective_series(series: EffectiveSeries) -> str:
-    table = _series_table(
-        series.params, series.bundles, series.w_p, series.w_q, "P", "Q"
-    )
+    table = _series_table(series.bundles, series.w_p, series.w_q)
     if series.node_degrees:
         nodes = "  ".join(
             f"Q_{alpha}: {a}" for alpha, a in enumerate(series.node_degrees, start=1)

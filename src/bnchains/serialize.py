@@ -117,10 +117,6 @@ def _bundle_from_obj(obj: dict, component: int, degree: int) -> BundleClass:
     return BundleClass.special(component, degree, a)
 
 
-def _seq_to_list(seq: VanishingSequence) -> list[int]:
-    return list(seq.orders)
-
-
 def _seq_from_list(values, what: str) -> VanishingSequence:
     """A sequence from a JSON list, each entry read by :func:`_int` and checked once."""
     return VanishingSequence._checked(
@@ -128,19 +124,11 @@ def _seq_from_list(values, what: str) -> VanishingSequence:
     )
 
 
-def eh_series_to_obj(series: EHSeries) -> dict:
+def _component_to_obj(bundle: BundleClass, vp: VanishingSequence, vq: VanishingSequence) -> dict:
     return {
-        "g": series.params.g,
-        "d": series.params.d,
-        "r": series.params.r,
-        "components": [
-            {
-                "bundle": _bundle_to_obj(b),
-                "vanish_P": _seq_to_list(vp),
-                "vanish_Q": _seq_to_list(vq),
-            }
-            for b, vp, vq in zip(series.bundles, series.vanish_p, series.vanish_q)
-        ],
+        "bundle": _bundle_to_obj(bundle),
+        "vanish_P": list(vp.orders),
+        "vanish_Q": list(vq.orders),
     }
 
 
@@ -153,16 +141,35 @@ def _components(obj: dict, g: int) -> list[dict]:
     return comps
 
 
+def _components_from_obj(comps: list[dict], degrees) -> tuple[tuple, tuple, tuple]:
+    """The bundles, P-sides and Q-sides of ``comps``, bundle i of degree ``degrees[i-1]``.
+
+    All bundles are read first, then all P-sides, then all Q-sides.
+    """
+    bundles = tuple(
+        _bundle_from_obj(c["bundle"], i, d_i) for i, (c, d_i) in enumerate(zip(comps, degrees), 1)
+    )
+    vanish_p = tuple(_seq_from_list(c["vanish_P"], "vanish_P") for c in comps)
+    vanish_q = tuple(_seq_from_list(c["vanish_Q"], "vanish_Q") for c in comps)
+    return bundles, vanish_p, vanish_q
+
+
+def eh_series_to_obj(series: EHSeries) -> dict:
+    return {
+        "g": series.params.g,
+        "d": series.params.d,
+        "r": series.params.r,
+        "components": list(
+            map(_component_to_obj, series.bundles, series.vanish_p, series.vanish_q)
+        ),
+    }
+
+
 def eh_series_from_obj(obj: dict) -> EHSeries:
     _check_object(obj, "series")
     params = _params(obj)
     comps = _components(obj, params.g)
-    bundles = tuple(
-        _bundle_from_obj(c["bundle"], i, params.d) for i, c in enumerate(comps, 1)
-    )
-    vanish_p = tuple(_seq_from_list(c["vanish_P"], "vanish_P") for c in comps)
-    vanish_q = tuple(_seq_from_list(c["vanish_Q"], "vanish_Q") for c in comps)
-    return EHSeries(params, bundles, vanish_p, vanish_q)
+    return EHSeries(params, *_components_from_obj(comps, [params.d] * len(comps)))
 
 
 def effective_series_to_obj(series: EffectiveSeries) -> dict:
@@ -171,15 +178,8 @@ def effective_series_to_obj(series: EffectiveSeries) -> dict:
         "d": series.params.d,
         "r": series.params.r,
         "components": [
-            {
-                "degree": d_i,
-                "bundle": _bundle_to_obj(b),
-                "vanish_P": _seq_to_list(wp),
-                "vanish_Q": _seq_to_list(wq),
-            }
-            for d_i, b, wp, wq in zip(
-                series.degrees, series.bundles, series.w_p, series.w_q
-            )
+            {"degree": d_i, **_component_to_obj(b, wp, wq)}
+            for d_i, b, wp, wq in zip(series.degrees, series.bundles, series.w_p, series.w_q)
         ],
         "a": list(series.node_degrees),
     }
@@ -190,12 +190,7 @@ def effective_series_from_obj(obj: dict) -> EffectiveSeries:
     params = _params(obj)
     comps = _components(obj, params.g)
     degrees = tuple(_int(c["degree"], "degree") for c in comps)
-    bundles = tuple(
-        _bundle_from_obj(c["bundle"], i, d_i)
-        for i, (c, d_i) in enumerate(zip(comps, degrees), 1)
-    )
-    w_p = tuple(_seq_from_list(c["vanish_P"], "vanish_P") for c in comps)
-    w_q = tuple(_seq_from_list(c["vanish_Q"], "vanish_Q") for c in comps)
+    bundles, w_p, w_q = _components_from_obj(comps, degrees)
     node_degrees = tuple(_int(a, "a") for a in _list(obj["a"], "a"))
     return EffectiveSeries(params, degrees, bundles, w_p, w_q, node_degrees)
 
@@ -254,7 +249,7 @@ def divisor_from_obj(obj: dict, geom: ChainGeometry) -> TropicalDivisor:
 
 def table_to_obj(table: TropVanishingTable) -> dict:
     return {
-        "u": [_seq_to_list(row) for row in table.u],
+        "u": [list(row.orders) for row in table.u],
         "epsilon": list(table.epsilon),
         "x": [None if pt is None else point_to_obj(pt) for pt in table.x],
         "cases": list(table.case_tags),

@@ -192,7 +192,17 @@ def run_suite(
     Every child is waited for, and killed first if the sweep failed, before
     this returns.  Without ``os.fork`` or ``os.sched_getaffinity`` or with
     other threads running, the whole sweep runs in the calling process.
+    Counts below their least useful value raise ``ValueError``, named by the
+    CLI flag that sets each, before any cap is checked.
     """
+    for flag, value, low in (
+        ("--g-max", g_max, 1),
+        ("--geometries", geometries_per_param, 1),
+        ("--winnability-trials", oracle_winnability_trials, 0),
+        ("--rank-trials", oracle_rank_trials, 0),
+    ):
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
     _check_sweep_size(
         g_max, geometries_per_param, oracle_winnability_trials, oracle_rank_trials
     )

@@ -492,6 +492,27 @@ def test_effective_rejects_non_refined(capsys, tmp_path):
     assert code == 1 and "refined" in err
 
 
+def test_effective_from_eh_refuses_an_impossible_component(capsys, tmp_path):
+    # the node sum is d, so only the pair bound of check_vanishing_pair on
+    # component 1 refuses the series
+    obj = {
+        "g": 2,
+        "d": 2,
+        "r": 0,
+        "components": [
+            {"bundle": {"aP": 0, "bQ": 2}, "vanish_P": [9], "vanish_Q": [2]},
+            {"bundle": {"aP": 0, "bQ": 2}, "vanish_P": [0], "vanish_Q": [7]},
+        ],
+    }
+    path = tmp_path / "eh.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "effective", "--from-eh", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: series is not refined: component 1: vp[0] + vq[0] = 11 exceeds degree 2\n"
+    )
+
+
 def test_tropical_divisor_rank_table(capsys, tableau_file, geometry_file, tmp_path):
     code, out, _ = run(
         capsys, "tropical", "divisor", "--tableau", tableau_file,

@@ -83,6 +83,35 @@ def test_side_sums_worked_example(effective_662):
     assert side_sums(effective_662, 6) == (3, 0)
 
 
+@st.composite
+def condition_b_shape(draw):
+    """r, degrees d_1..d_g and node degrees with r <= a_m <= min(d_m, d_{m+1})."""
+    r = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.integers(r, r + 6), min_size=1, max_size=8))
+    nodes = [draw(st.integers(r, min(left, right))) for left, right in zip(degrees, degrees[1:])]
+    return r, degrees, nodes
+
+
+@given(condition_b_shape())
+@settings(max_examples=200, deadline=None)
+def test_side_sums_are_never_negative_under_condition_b(shape):
+    # why effective_to_eh needs no check of its own on the side sums
+    r, degrees, nodes = shape
+    g = len(degrees)
+    lowest = seq(*range(r, -1, -1))
+    series = EffectiveSeries(
+        BNParams(g, sum(degrees) - sum(nodes), r),
+        tuple(degrees),
+        tuple(BundleClass.generic(i, d_i) for i, d_i in enumerate(degrees, start=1)),
+        (lowest,) * g,
+        (lowest,) * g,
+        tuple(nodes),
+    )
+    for j in range(1, g + 1):
+        left, right = side_sums(series, j)
+        assert left >= 0 and right >= 0
+
+
 def test_eh_to_effective_rejects_non_refined():
     p = BNParams(2, 2, 0)
     from bnchains.elliptic import BundleClass

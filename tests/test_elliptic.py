@@ -17,7 +17,7 @@ from bnchains import (
     propagate_vanishing,
     vanishing_from_tableau,
 )
-from bnchains.elliptic import EHSeries
+from bnchains.elliptic import EHSeries, SeriesCheck
 from bnchains.verify import sweep_params
 
 from worked_example import EH_662, PARAMS_662, tableau_662
@@ -242,6 +242,37 @@ def test_check_eh_series_single_component():
     )
     verdict = check_eh_series(series)
     assert verdict.valid and verdict.refined
+
+
+@pytest.mark.parametrize(
+    "params, sides, problem",
+    [
+        # every node sum is d, but component 1's pair sum exceeds d
+        (
+            BNParams(2, 2, 0),
+            [((9,), (2,)), ((0,), (7,))],
+            "component 1: vp[0] + vq[0] = 11 exceeds degree 2",
+        ),
+        # no node at all, and component 1's pair sums equal d twice
+        (
+            BNParams(1, 2, 1),
+            [((2, 0), (2, 0))],
+            "component 1: two equalities, at t = 0 and t = 1",
+        ),
+        # a series broken at a node and at a component reports the node
+        (
+            BNParams(2, 2, 0),
+            [((9,), (1,)), ((0,), (7,))],
+            "node Q_1: vanish_q[0] + vanish_p[0] = 1 < 2",
+        ),
+    ],
+)
+def test_check_eh_series_checks_each_component(params, sides, problem):
+    bundles = tuple(BundleClass.generic(i, params.d) for i in range(1, params.g + 1))
+    vanish_p = tuple(seq(*vp) for vp, _ in sides)
+    vanish_q = tuple(seq(*vq) for _, vq in sides)
+    series = EHSeries(params, bundles, vanish_p, vanish_q)
+    assert check_eh_series(series) == SeriesCheck(False, False, problem)
 
 
 def test_eh_series_smallest_chain():

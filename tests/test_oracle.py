@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1139,3 +1140,41 @@ def test_oracle_imports_no_loop_logic():
         elif isinstance(node, ast.ImportFrom):
             assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
     assert imported <= allowed
+
+
+def test_runtime_imports_only_the_stdlib():
+    # every import in the package is relative or names a stdlib module
+    modules = sorted(Path(oracle.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 11
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+@pytest.mark.parametrize("name", ["is_winnable", "dhar_reduce", "bn_rank"])
+def test_oracle_refuses_vertices_outside_the_graph(name):
+    # one loop (3, 1) has vertices 0..3: unchecked, vertex or root -1 meant
+    # vertex 3 and vertex 4 raised a bare IndexError
+    graph = cycle_graph(3, 1)
+    call = {
+        "is_winnable": lambda config, q: is_winnable(graph, config, q),
+        "dhar_reduce": lambda config, q: dhar_reduce(graph, config, q),
+        "bn_rank": lambda config, q: bn_rank(graph, config),  # roots at 0
+    }[name]
+    assert call(ChipConfig({3: 2}), 0) == {
+        "is_winnable": True, "dhar_reduce": ChipConfig({0: 1, 2: 1}), "bn_rank": 1
+    }[name]
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^vertex {v} outside the graph's vertices 0\.\.3$"):
+            call(ChipConfig({v: 2}), 0)
+    if name != "bn_rank":
+        for q in (-1, 4):
+            with pytest.raises(ValueError, match=rf"^root {q} outside the graph's vertices 0\.\.3$"):
+                call(ChipConfig({0: 2}), q)

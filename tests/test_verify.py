@@ -43,6 +43,28 @@ def test_sweep_cap_admits_the_default_sweep():
         vf._check_sweep_size(1, 1, 0, vf.RANK_TRIAL_CAP + 1)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"g_max": 0}, "--g-max must be at least 1, got 0"),
+        ({"geometries_per_param": 0}, "--geometries must be at least 1, got 0"),
+        ({"oracle_winnability_trials": -1}, "--winnability-trials must be at least 0, got -1"),
+        ({"oracle_rank_trials": -1}, "--rank-trials must be at least 0, got -1"),
+        # checked before the caps: these rank trials are also over theirs
+        (
+            {"g_max": -1, "oracle_rank_trials": vf.RANK_TRIAL_CAP + 1},
+            "--g-max must be at least 1, got -1",
+        ),
+    ],
+)
+def test_run_suite_rejects_out_of_range_counts(counts, message):
+    # unchecked, g_max 0 ended in randrange's empty range, and no geometries
+    # skipped every geometry check yet passed
+    with pytest.raises(ValueError) as caught:
+        vf.run_suite(**{"g_max": 1, **counts})
+    assert str(caught.value) == message
+
+
 def test_suite_passes_small():
     result = vf.run_suite(
         g_max=3,
