@@ -27,6 +27,7 @@ from .elliptic import (
     SeriesCheck,
     VanishingSequence,
     _check_shape,
+    _component_problem,
     check_eh_series,
 )
 from .tableaux import BNParams, Tableau, _unchecked
@@ -64,7 +65,12 @@ class EffectiveSeries:
 
 
 def check_effective(series: EffectiveSeries) -> SeriesCheck:
-    """Validate conditions (a), (b), (c); refined iff (b) holds with equality."""
+    """Validate conditions (a), (b), (c); refined iff (b) holds with equality.
+
+    Then each component's orders must pass :func:`check_vanishing_pair` at
+    its own degree d_i.  Reports the first failing node, or else the first
+    failing component.
+    """
     p = series.params
     r = p.r
     total = sum(series.degrees) - sum(series.node_degrees)
@@ -102,7 +108,8 @@ def check_effective(series: EffectiveSeries) -> SeriesCheck:
                 f"node Q_{alpha}: no section vanishing to order a = {a} "
                 f"(top orders {wq[0]}, {wp_next[0]})",
             )
-    return SeriesCheck(True, refined)
+    problem = _component_problem(degrees, series.w_p, series.w_q)
+    return SeriesCheck(problem is None, refined and problem is None, problem)
 
 
 def _twist(bundles, vanish_p, vanish_q, lefts, rights):

@@ -318,6 +318,21 @@ class SeriesCheck:
         return self.valid
 
 
+def _component_problem(degrees, vanish_p, vanish_q) -> str | None:
+    """``component i: <problem>`` for the first component i whose orders fail
+    :func:`check_vanishing_pair` at degree ``degrees[i-1]``, or None.
+
+    One pass of the pair sums per component; :func:`check_vanishing_pair`
+    runs only to word a failure.
+    """
+    for i, (d_i, vp, vq) in enumerate(zip(degrees, vanish_p, vanish_q), start=1):
+        # vp[t] + vq[r - t]: all <= d_i, at most one == d_i
+        totals = list(map(operator.add, vp.orders, reversed(vq.orders)))
+        if max(totals) > d_i or totals.count(d_i) > 1:
+            return f"component {i}: {check_vanishing_pair(d_i, vp, vq).problem}"
+    return None
+
+
 def check_eh_series(series: EHSeries) -> SeriesCheck:
     """Node condition: vanish_q(i)[t] + vanish_p(i+1)[r-t] >= d at every node.
 
@@ -340,13 +355,8 @@ def check_eh_series(series: EHSeries) -> SeriesCheck:
                 )
             if total > d:
                 refined = False
-    for i, (vp, vq) in enumerate(zip(series.vanish_p, series.vanish_q), start=1):
-        # vp[t] + vq[r - t]: all <= d, at most one == d
-        totals = list(map(operator.add, vp.orders, reversed(vq.orders)))
-        if max(totals) > d or totals.count(d) > 1:
-            problem = check_vanishing_pair(d, vp, vq).problem
-            return SeriesCheck(False, False, f"component {i}: {problem}")
-    return SeriesCheck(True, refined)
+    problem = _component_problem((d,) * p.g, series.vanish_p, series.vanish_q)
+    return SeriesCheck(problem is None, refined and problem is None, problem)
 
 
 def eh_series_from_tableau(t: Tableau) -> EHSeries:

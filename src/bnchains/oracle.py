@@ -40,9 +40,24 @@ class and settles any debt.  A level fails at the first F reached, never a
 recorded one, where no equivalent effective divisor has a chip on w.  The
 orders are fixed, so runs are deterministic.
 
-E and w range over all vertices, not only the nodes.  Nothing here shares
-logic with the loop-class arithmetic it cross-checks.  Configurations of
-more than :data:`ORACLE_CHIP_CAP` chips, counted without sign, are refused.
+E and w range over all vertices, not only the nodes.
+
+The walk costs about n^r / r! root checks on n vertices, so :func:`bn_rank`
+walks the side of Riemann-Roch with the lower degree.  For finite graphs
+(Baker and Norine, "Riemann-Roch and Abel-Jacobi theory on a finite graph",
+Adv. Math. 215 (2007)), r(D) = deg D - g + 1 + r(K - D), where g = edges -
+vertices + 1 and K = sum (val v - 2) v.  When deg D >= g, K - D has degree
+2g - 2 - deg D < g and a rank lower by deg D - g + 1, so its walk is far
+shorter: on the (5,8,4) tableau divisor it is one winnability check of a
+divisor of degree 0.  Firing a vertex sends nothing along a self-loop, so a
+graph and its loopless part have the same chip-firing, and g and the
+valences are taken without self-loops.  K is a plain graph invariant;
+nothing here shares logic with the loop-class arithmetic it cross-checks.
+
+Configurations of more than :data:`ORACLE_CHIP_CAP` chips, counted without
+sign, are refused, and :func:`bn_rank` refuses a degree above
+:data:`ORACLE_DEGREE_CAP`.  Both caps apply to D as given, whichever side
+is walked.
 """
 
 from __future__ import annotations
@@ -64,8 +79,11 @@ ORACLE_CHIP_CAP = 10_000
 
 # subdivide_chain refuses a model of more unit edges than the first, at about
 # 0.28 KB an edge (a 200,000-edge loop peaked at 72 MB), and bn_rank a divisor
-# of higher degree than the second: d·Q_0 on the six loops of the README
-# geometry takes 0.03 s at d = 8, 0.5 s at 9 and 12.6 s at 10; 11 ran past 75 s
+# of higher degree than the second.  From deg D >= g on bn_rank walks K - D,
+# so d·Q_0 on the six loops of the README geometry takes under 0.5 ms at
+# every d up to 11; below g the walk on D grows with the degree: 8·Q_0, rank
+# 4, on nine loops with both arcs 4 (64 vertices) takes 5.3 s, and 10.8 s on
+# arcs of 5 (82 vertices)
 ORACLE_EDGE_CAP = 100_000
 ORACLE_DEGREE_CAP = 8
 
@@ -444,32 +462,20 @@ def _certify(ahead, ends, removed, work) -> None:
             ahead[head] = ahead.get(head, 0) | roots[end]
 
 
-def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
-    """Baker-Norine rank of the configuration D, by suffix walks of the root.
+def _walk(adjacency, chips: list[int]) -> int:
+    """Baker-Norine rank of the chip list ``chips``, by suffix walks of the root.
 
-    -1 when D is not winnable.  Otherwise the largest r <= deg D such that
-    D - F is winnable for every effective F of degree r, the criterion of
-    Baker and Norine.  Each F is split once as F = E + w, E of degree r - 1
-    in lexicographic order of vertex numbers and w a root at or after the
-    last vertex of E, and an F below a divisor an earlier check left is
-    skipped; the module docstring gives the argument.  Any numbering of the
-    vertices gives the same rank and changes only the speed; the depth-first
-    preorder of :func:`subdivide_chain` keeps consecutive roots adjacent.
-    Runs are deterministic.  Degrees above :data:`ORACLE_DEGREE_CAP` raise
-    :class:`OracleTooLargeError`, as do more than :data:`ORACLE_CHIP_CAP`
-    chips; a chip outside the graph raises ``ValueError``.
+    Each F is split once as F = E + w, E of degree r - 1 in lexicographic
+    order of vertex numbers and w a root at or after the last vertex of E,
+    and an F below a divisor an earlier check left is skipped; the module
+    docstring gives the argument.  The depth-first preorder of
+    :func:`subdivide_chain` keeps consecutive roots adjacent.  The list is
+    reduced in place.
     """
-    degree = config.degree
-    if degree > ORACLE_DEGREE_CAP:
-        shown = f" {degree}" if degree < 10**100 else ""  # str() stops at 4,300 digits
-        raise OracleTooLargeError(
-            f"degree{shown} exceeds rank-search cap {ORACLE_DEGREE_CAP}"
-        )
-    adjacency = graph.adjacency
-    n = graph.vertex_count
+    degree = sum(chips)
+    n = len(adjacency)
     q = 0
-    effective = _chip_list(graph, config, q)
-    if not _reaches(adjacency, effective, q, 0):
+    if not _reaches(adjacency, chips, q, 0):
         return -1
 
     def every_split_keeps_a_chip(r: int) -> bool:
@@ -477,7 +483,7 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
         ahead: dict[tuple[int, ...], int] = {}
         ends = [c[-1] + 1 if c else 0 for c in combinations(range(degree), r - 1)]
         # an effective divisor equivalent to D, with E_prev = (), seeds the first E
-        seed, seed_removed = effective, ()
+        seed, seed_removed = chips, ()
         for removed in combinations_with_replacement(range(n), r - 1):
             skip = ahead.pop(removed, 0)
             work = list(seed)
@@ -501,3 +507,34 @@ def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
     while r + 1 <= degree and every_split_keeps_a_chip(r + 1):
         r += 1
     return r
+
+
+def bn_rank(graph: DiscreteGraph, config: ChipConfig) -> int:
+    """Baker-Norine rank of the configuration D, searched on the cheaper side.
+
+    -1 when D is not winnable.  Otherwise the largest r <= deg D such that
+    D - F is winnable for every effective F of degree r, the criterion of
+    Baker and Norine.  When deg D >= g, the genus of the graph without its
+    self-loops, Riemann-Roch for graphs (Baker and Norine, Adv. Math. 215
+    (2007)) gives r(D) = deg D - g + 1 + r(K - D), with K = sum (val v - 2) v
+    and val v the valence without self-loops; K - D has degree 2g - 2 - deg D
+    < g, so :func:`_walk` searches it, otherwise D itself.  Any numbering of
+    the vertices gives the same rank and changes only the speed.  Runs are
+    deterministic.  A degree of D above :data:`ORACLE_DEGREE_CAP` raises
+    :class:`OracleTooLargeError`, as do more than :data:`ORACLE_CHIP_CAP`
+    chips in D; a chip outside the graph raises ``ValueError``.
+    """
+    degree = config.degree
+    if degree > ORACLE_DEGREE_CAP:
+        shown = f" {degree}" if degree < 10**100 else ""  # str() stops at 4,300 digits
+        raise OracleTooLargeError(
+            f"degree{shown} exceeds rank-search cap {ORACLE_DEGREE_CAP}"
+        )
+    adjacency = graph.adjacency
+    chips = _chip_list(graph, config, 0)
+    # a self-loop fires a chip back into its own vertex, so chip-firing and K ignore it
+    valence = [len(nbrs) - nbrs.count(v) for v, nbrs in enumerate(adjacency)]
+    genus = sum(valence) // 2 - len(valence) + 1
+    if degree < genus:
+        return _walk(adjacency, chips)
+    return degree - genus + 1 + _walk(adjacency, [k - 2 - c for k, c in zip(valence, chips)])

@@ -90,9 +90,10 @@ class SuiteResult:
 SWEEP_WORK_CAP = 120_000
 
 # Oracle rank trials are capped apart from the sweep: each is an exhaustive
-# ``bn_rank``, on average 0.25 ms at ``--g-max 1`` and 0.55 ms at ``--g-max
-# 4``, where the trials stop growing (2-core machine, Python 3.11), so the
-# cap bounds them to about half a second.
+# ``bn_rank``, a trial on average 0.11-0.13 ms at ``--g-max 1`` and
+# 0.23-0.37 ms at ``--g-max 4``, where the trials stop growing (1,000 trials,
+# three seeds, 2-core machine, Python 3.11), so the cap bounds them to under
+# half a second.
 RANK_TRIAL_CAP = 1_000
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from bnchains import (
     tropical_vanishing_table,
 )
 from bnchains.effective import EffectiveSeries, side_sums
-from bnchains.elliptic import EHSeries, VanishingSequence
+from bnchains.elliptic import EHSeries, SeriesCheck, VanishingSequence
 from bnchains.verify import sweep_params
 
 from worked_example import (
@@ -160,6 +161,46 @@ def test_check_effective_detects_node_sum_violation(effective_662):
     verdict = check_effective(broken)
     assert not verdict.valid
     assert "Q_1" in verdict.problem and "< a = 4" in verdict.problem
+
+
+@pytest.mark.parametrize(
+    "params, degrees, sides, node_degrees, problem",
+    [
+        # one component whose pair sum exceeds its degree
+        (
+            BNParams(1, 2, 0), (2,), [((2,), (2,))], (),
+            "component 1: vp[0] + vq[0] = 4 exceeds degree 2",
+        ),
+        # one component whose pair sums equal its degree twice
+        (
+            BNParams(1, 2, 1), (2,), [((2, 0), (2, 0))], (),
+            "component 1: two equalities, at t = 0 and t = 1",
+        ),
+        # every node condition holds, but component 2's pair sum exceeds d_2
+        (
+            BNParams(2, 2, 0), (2, 2), [((0,), (2,)), ((2,), (7,))], (2,),
+            "component 2: vp[0] + vq[0] = 9 exceeds degree 2",
+        ),
+        # component 1's pair sum is within d = 3 but over its own d_1 = 2
+        (
+            BNParams(2, 3, 0), (2, 2), [((2,), (1,)), ((1,), (0,))], (1,),
+            "component 1: vp[0] + vq[0] = 3 exceeds degree 2",
+        ),
+        # a series broken at a node and at a component reports the node
+        (
+            BNParams(2, 2, 0), (2, 2), [((9,), (1,)), ((0,), (7,))], (2,),
+            "node Q_1: w_q[0] + w_p[0] = 1 < a = 2",
+        ),
+    ],
+)
+def test_check_effective_checks_each_component(params, degrees, sides, node_degrees, problem):
+    bundles = tuple(BundleClass.generic(i, d_i) for i, d_i in enumerate(degrees, start=1))
+    w_p = tuple(seq(*wp) for wp, _ in sides)
+    w_q = tuple(seq(*wq) for _, wq in sides)
+    series = EffectiveSeries(params, degrees, bundles, w_p, w_q, node_degrees)
+    assert check_effective(series) == SeriesCheck(False, False, problem)
+    with pytest.raises(NotRefinedError, match=f"^{re.escape(problem)}$"):
+        effective_to_eh(series)
 
 
 def test_check_effective_single_component():

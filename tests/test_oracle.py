@@ -37,9 +37,11 @@ from bnchains.oracle import (
     DiscreteGraph,
     _bfs_distances,
     _burn,
+    _chip_list,
     _fire_unburnt,
     _reaches,
     _settle_debt,
+    _walk,
 )
 from bnchains.verify import run_suite, sweep_params
 
@@ -355,6 +357,11 @@ def _cold_bn_rank(graph, config):
     return r
 
 
+def _walk_rank(graph, config):
+    """The rank by the root walk on D itself, the side bn_rank skips when deg D >= g."""
+    return _walk(graph.adjacency, _chip_list(graph, config, 0))
+
+
 # 1/2 twice: a loop with both arcs 1/2 is a pair of parallel edges at scale 2
 HALF_LENGTHS = [F(1, 2)] + [F(k, 2) for k in range(1, 7)]
 
@@ -490,9 +497,9 @@ def test_bn_rank_matches_all_roots_walk_at_rank_two_and_up(monkeypatch):
         if graph.vertex_count > 20 or degree - g > 3:
             continue
         cfg = _random_config(rng, graph.vertex_count, degree)
-        recorded.clear()
         rank = bn_rank(graph, cfg)
-        assert rank == _all_roots_bn_rank(graph, cfg), (geom, cfg)
+        recorded.clear()  # deg D > g, so bn_rank walked K - D: record the walk on D
+        assert _walk_rank(graph, cfg) == rank == _all_roots_bn_rank(graph, cfg), (geom, cfg)
         ranks.append(rank)
         for f in rng.sample(recorded, min(len(recorded), 40)):
             chips = [cfg[v] for v in range(graph.vertex_count)]
@@ -531,8 +538,69 @@ def test_bn_rank_reduces_once_per_effective_divisor(monkeypatch):
     graph, cfg = _relabelled(tree, ChipConfig({3: 2, 7: 1}), perm)
     assert _depth_first_preorder(graph.adjacency) != list(range(n))
     calls = _count_calls(monkeypatch, "_reaches")
-    assert bn_rank(graph, cfg) == 3
+    assert _walk_rank(graph, cfg) == 3
     assert calls[0] == 426 < 1 + comb(n, 1) + comb(n + 1, 2) + comb(n + 2, 3)
+    # g = 0, so bn_rank answers by Riemann-Roch with one check: K - D has degree -5
+    assert bn_rank(graph, cfg) == 3
+    assert calls[0] == 427
+
+
+# two vertices joined by two edges, each with a self-loop, listed at both
+# ends: g = 2 - 2 + 1 = 1 once the self-loops are dropped, K = 0, and firing
+# a vertex moves two chips across, so v_0 - v_1 has order 2
+BANANA_WITH_SELF_LOOPS = ((1, 1, 0, 0), (0, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "chips, rank",
+    [({}, 0), ({0: 1, 1: -1}, -1), ({0: 1}, 0), ({0: 2}, 1), ({0: 3}, 2), ({0: 2, 1: -1}, 0)],
+)
+def test_bn_rank_skips_self_loops(chips, rank):
+    # deg D >= g = 1 gives deg D - 1 + r(-D) = deg D - 1; a self-loop counted
+    # in the valence would make g = 3 and K = 2 v_0 + 2 v_1
+    graph = DiscreteGraph(BANANA_WITH_SELF_LOOPS, (0,), {}, 1)
+    cfg = ChipConfig(chips)
+    assert bn_rank(graph, cfg) == _walk_rank(graph, cfg) == _cold_bn_rank(graph, cfg) == rank
+
+
+def test_bn_rank_by_riemann_roch_matches_the_walk_on_d():
+    # deg D >= g answers from K - D with K = sum (val v - 2) v; a genus off by
+    # one, a self-loop counted in the valence or K built from val v - 1 gives
+    # another rank.  Degrees g - 2..g + 2, with negative chips, on chain-of-
+    # loops models (parallel edges at half-integer arcs) and on subdivided
+    # multigraphs, half of them with self-loops, which chip-firing ignores
+    rng = random.Random(1307)
+    sides = {}
+    ranks = set()
+    looped = 0
+    while len(sides) < 2 or min(sides.values()) < 150:
+        if rng.random() < 0.3:
+            graph = _random_multigraph(rng, 12)
+            genus = len(graph.node_vertices) - 1
+            loops = 0
+        else:
+            base = rng.randrange(1, 5)
+            edges = _random_edges(rng, base)
+            if rng.random() < 0.5:  # one to three self-loops
+                edges += [(v, v, 1) for v in rng.choices(range(base), k=rng.randrange(1, 4))]
+            adjacency = _subdivided_multigraph(base, edges)
+            if len(adjacency) > 12:
+                continue
+            graph = DiscreteGraph(adjacency, (0,), {}, 1)
+            loops = sum(a == b and k == 1 for a, b, k in edges)
+            genus = len(edges) - loops - base + 1
+        degree = genus + rng.randrange(-2, 3)
+        if degree > min(5, oracle.ORACLE_DEGREE_CAP):  # the cold search's reach
+            continue
+        cfg = _random_config(rng, graph.vertex_count, degree)
+        rank = bn_rank(graph, cfg)
+        assert rank == _walk_rank(graph, cfg) == _cold_bn_rank(graph, cfg), (graph.adjacency, cfg)
+        side = degree >= genus
+        sides[side] = sides.get(side, 0) + 1
+        ranks.add(rank)
+        looped += side and loops > 0
+    assert ranks == {-1, 0, 1, 2}
+    assert looped > 40, looped
 
 
 def _first_failing_level(adjacency, chips):
@@ -581,11 +649,11 @@ def test_bn_rank_checks_the_one_failing_divisor():
         found[level] = found.get(level, 0) + 1
         graph = DiscreteGraph(adjacency, (0,), {}, 1)
         cfg = ChipConfig(dict(enumerate(chips)))
-        assert bn_rank(graph, cfg) == level - 1, (adjacency, chips)
+        assert bn_rank(graph, cfg) == _walk_rank(graph, cfg) == level - 1, (adjacency, chips)
         for _ in range(8):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert bn_rank(*_relabelled(graph, cfg, perm)) == level - 1, (adjacency, chips, perm)
+            assert _walk_rank(*_relabelled(graph, cfg, perm)) == level - 1, (adjacency, chips, perm)
     assert sum(found.values()) >= 10 and len(found) >= 2, found
 
 
@@ -617,10 +685,13 @@ def test_bn_rank_is_invariant_under_relabelling(case):
     # any numbering of the vertices gives the same rank: moving vertex 0
     # moves q, and the walk then follows no depth-first order, so a split
     # F = E + w or a seed that depended on the numbering would check the
-    # wrong F
+    # wrong F.  K has degree 2g - 2 >= g from g = 2 on, where bn_rank answers
+    # from K - K = 0, so the walk on D itself is checked too
     graph, cfg, perm = case
+    moved = _relabelled(graph, cfg, perm)
     rank = bn_rank(graph, cfg)
-    assert bn_rank(*_relabelled(graph, cfg, perm)) == rank
+    assert bn_rank(*moved) == rank
+    assert _walk_rank(graph, cfg) == _walk_rank(*moved) == rank
     if cfg == _canonical(graph):
         assert rank == len(graph.node_vertices) - 2  # g - 1
 
@@ -1018,9 +1089,12 @@ def test_bn_rank_burn_passes_bounded(monkeypatch, params, bound):
     # reducing each root check to the end took 14,142 and 36,368, checking
     # the roots a held divisor certified took 6,202 and 14,850, and skipping
     # only the roots of the check's own E took 4,592 and 9,999
-    passes = _count_calls(monkeypatch, "_burn")
-    for _, _, graph, chips in _tableau_rank_cases(params):
+    cases = list(_tableau_rank_cases(params))
+    for _, _, graph, chips in cases:
         assert bn_rank(graph, chips) == params.r
+    passes = _count_calls(monkeypatch, "_burn")
+    for _, _, graph, chips in cases:
+        assert _walk_rank(graph, chips) == params.r
     assert passes[0] <= bound
 
 
@@ -1028,25 +1102,41 @@ def test_rho_zero_tableau_divisors_up_to_genus_five(monkeypatch):
     # (5,8,4) has a test of its own below.  A count, not a time: 3,763 root
     # checks when a check skipped only the roots of its own E it certified
     checks = _count_calls(monkeypatch, "_reaches")
-    checked = 0
+    checked = walked = 0
     for params in sweep_params(5):
         if params.rho != 0 or params == BNParams(5, 8, 4):
             continue
         for geom, divisor, graph, chips in _tableau_rank_cases(params):
             assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == params.r
+            before = checks[0]
+            assert _walk_rank(graph, chips) == params.r
+            walked += checks[0] - before
             checked += 1
     assert checked == 10
-    assert checks[0] == 1_297
+    assert walked == 1_297
 
 
 def test_rho_zero_genus_five_degree_eight(monkeypatch):
     # degree 8 on 51 vertices: 822,680 burn passes when each root check
     # reduced to the end, 346,829 when it checked the roots a held divisor
     # certified, 248,110 when it skipped only the roots of its own E
-    passes = _count_calls(monkeypatch, "_burn")
     [(geom, divisor, graph, chips)] = _tableau_rank_cases(BNParams(5, 8, 4))
     assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == 4
+    passes = _count_calls(monkeypatch, "_burn")
+    assert _walk_rank(graph, chips) == 4
     assert passes[0] <= 101_770
+
+
+@pytest.mark.parametrize("params", [BNParams(4, 6, 3), BNParams(5, 8, 4)], ids=["4-6-3", "5-8-4"])
+def test_bn_rank_searches_k_minus_d_on_tableau_divisors(monkeypatch, params):
+    # deg D >= g, so bn_rank walks K - D of degree 2g - 2 - d = 0: D ~ K, so
+    # one winnability check finds rank d - g + 1 + 0 = r.  A count, not a
+    # time: the walk on D itself made 1,189 and 35,619 root checks
+    cases = list(_tableau_rank_cases(params))
+    reached = _count_calls(monkeypatch, "_reaches")
+    for geom, divisor, graph, chips in cases:
+        assert bn_rank(graph, chips) == tropical_rank(geom, divisor) == params.r
+    assert len(cases) == 1 and reached[0] == 1
 
 
 def _coarse_generic_point(geom, k, d):
